@@ -16,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "cg/compile_options.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
+#include "machine/processor.hpp"
 #include "miniapps/miniapp.hpp"
 #include "mp/job.hpp"
 #include "mp/symmetry.hpp"
@@ -109,21 +112,73 @@ trace::CollapsedTrace run_collapsed(const std::string& name,
   return trace::CollapsedTrace::assemble(std::move(symmetry), reps);
 }
 
+/// One 3-path comparison: an app/dataset recorded at kRanks x kThreads,
+/// predicted on `processor` under `compile`, placed on `nodes` nodes. The
+/// defaults are the single-node a64fx/simd_sched/block/compact point every
+/// app and dataset is pinned at; seeded cases vary the rest.
 struct CollapseCase {
   std::string app;
   apps::Dataset dataset;
+  std::string label;  ///< test-name prefix ("" for the fixed cases)
+  machine::ProcessorConfig processor = machine::a64fx();
+  cg::CompileOptions compile = cg::CompileOptions::simd_sched();
+  topo::RankAllocPolicy alloc = topo::RankAllocPolicy::kBlock;
+  topo::ThreadBindPolicy bind = topo::ThreadBindPolicy::compact();
+  int nodes = 1;
 };
 
 void PrintTo(const CollapseCase& c, std::ostream* os) {
-  *os << c.app << "_"
+  *os << c.label << c.app << "_"
       << (c.dataset == apps::Dataset::kSmall ? "small" : "large");
 }
 
+/// Every comparison-set processor plus each -boost/-eco mode it declares.
+std::vector<machine::ProcessorConfig> processors_with_modes() {
+  std::vector<machine::ProcessorConfig> out;
+  for (const machine::ProcessorConfig& base : machine::comparison_set()) {
+    out.push_back(base);
+    for (const machine::PowerMode mode :
+         {machine::PowerMode::kBoost, machine::PowerMode::kEco}) {
+      const machine::ProcessorConfig modal =
+          machine::with_power_mode(base, mode);
+      if (!(modal == base)) out.push_back(modal);
+    }
+  }
+  return out;
+}
+
+// Seeded multi-node cases: the fixed cases all sit on one node, so only
+// these reach the torus-contention (kRemoteNode) branch of the comm model.
+constexpr int kSeededCases = 12;
+constexpr std::uint64_t kCaseSeed = 20210917;
+
 std::vector<CollapseCase> all_cases() {
   std::vector<CollapseCase> cases;
-  for (const auto& name : apps::registry_names()) {
-    cases.push_back({name, apps::Dataset::kSmall});
-    cases.push_back({name, apps::Dataset::kLarge});
+  const std::vector<std::string> names = apps::registry_names();
+  for (const auto& name : names) {
+    cases.push_back({name, apps::Dataset::kSmall, ""});
+    cases.push_back({name, apps::Dataset::kLarge, ""});
+  }
+  const std::vector<machine::ProcessorConfig> procs = processors_with_modes();
+  const std::vector<cg::CompileOptions> presets = cg::search_presets();
+  const auto pick = [](Xoshiro256& rng, const auto& items) {
+    return items[static_cast<std::size_t>(rng.bounded(items.size()))];
+  };
+  Xoshiro256 rng(kCaseSeed);
+  for (int i = 0; i < kSeededCases; ++i) {
+    // Apps round-robin so every app, both grid apps included, gets a case.
+    CollapseCase c{names[static_cast<std::size_t>(i) % names.size()],
+                   rng.bounded(2) ? apps::Dataset::kLarge
+                                  : apps::Dataset::kSmall,
+                   "seeded" + std::to_string(i) + "_"};
+    c.processor = pick(rng, procs);
+    c.compile = pick(rng, presets);
+    c.alloc = rng.bounded(2) ? topo::RankAllocPolicy::kScatter
+                             : topo::RankAllocPolicy::kBlock;
+    c.bind = rng.bounded(2) ? topo::ThreadBindPolicy::scatter()
+                            : topo::ThreadBindPolicy::compact();
+    c.nodes = 2 << rng.bounded(3);  // 2, 4 or 8: kRanks divides evenly
+    cases.push_back(std::move(c));
   }
   return cases;
 }
@@ -157,13 +212,28 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
   const trace::JobTrace full = run_full(c.app, c.dataset);
   const trace::CollapsedTrace collapsed = run_collapsed(c.app, c.dataset);
 
-  const auto cfg = machine::a64fx();
-  const auto opts = cg::CompileOptions::simd_sched();
-  const topo::Topology topo(cfg.shape);
+  const machine::ProcessorConfig& cfg = c.processor;
+  const cg::CompileOptions& opts = c.compile;
+  const topo::Topology topo(cfg.shape, c.nodes);
   const topo::Binding binding =
-      topo::Binding::make(topo, kRanks, kThreads,
-                          topo::RankAllocPolicy::kBlock,
-                          topo::ThreadBindPolicy::compact());
+      topo::Binding::make(topo, kRanks, kThreads, c.alloc, c.bind);
+  if (c.nodes > 1) {
+    ASSERT_EQ(binding.job_span(), topo::Distance::kRemoteNode);
+    // An app with point-to-point traffic must send across nodes here, or
+    // the case never reaches the torus-contention branch.
+    bool any_send = false;
+    bool remote_send = false;
+    for (std::size_t r = 0; r < full.size(); ++r) {
+      for (const trace::PhaseRecord& rec : full[r]) {
+        for (const auto& [dst, flow] : rec.comm.sends) {
+          any_send = true;
+          remote_send |= binding.rank_distance(static_cast<int>(r), dst) ==
+                         topo::Distance::kRemoteNode;
+        }
+      }
+    }
+    EXPECT_EQ(remote_send, any_send);
+  }
 
   const auto naive = trace::predict_job(cfg, opts, binding, full);
   const auto canonical = trace::predict_job(
