@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/parse_num.hpp"
+#include "common/report_emit.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim::machine {
@@ -17,26 +18,6 @@ namespace fibersim::machine {
 namespace {
 
 std::string format_int(int v) { return strfmt("%d", v); }
-
-void append_escaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 /// Canonical emitter: fixed order, 2-space indent, one "key": value per
 /// line. Kept dumb on purpose — the byte-stability contract lives here.
@@ -65,7 +46,7 @@ class Emitter {
 
   void str(const char* key, const std::string& v) {
     line_start(key);
-    append_escaped(v, &out_);
+    out_ += '"' + json_escape(v) + '"';
     out_ += ",\n";
   }
   void num(const char* key, double v) {

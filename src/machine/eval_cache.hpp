@@ -6,80 +6,69 @@
 // (processor token, work content hash) so a sweep's exec-model cost scales
 // with the number of *distinct* (processor, work) pairs.
 //
-// Processor identity is exact, not probabilistic: processor_token()
-// registers each distinct ProcessorConfig (full field-wise equality) and
-// returns a small integer token, so two configs share cached evaluations iff
-// the model would see identical parameters — no fingerprint collision can
-// alias machines. Work hashes are verified with a bitwise compare on every
-// lookup, like the codegen cache.
-//
-// Thread-safe under SweepPool concurrency with deterministic counters:
-// misses compute under the bucket lock, so evals() always equals the number
-// of distinct (processor, work) values seen regardless of interleaving.
+// The memo itself — bitwise verification of every hit, misses computed under
+// the bucket lock, deterministic evals/lookups/hits — is the shared
+// common/exact_memo.hpp, the same one cg::CodegenCache is. What this class
+// adds is processor identity, which is exact, not probabilistic:
+// processor_token() registers each distinct ProcessorConfig (full
+// field-wise equality) and returns a small integer token, so two configs
+// share cached evaluations iff the model would see identical parameters — no
+// fingerprint collision can alias machines.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
-#include <utility>
 #include <vector>
 
+#include "common/exact_memo.hpp"
 #include "isa/work_estimate.hpp"
 #include "machine/exec_model.hpp"
 #include "machine/processor.hpp"
 
 namespace fibersim::machine {
 
-class EvalCache {
+class EvalCache
+    : public ExactMemo<isa::WorkEstimate, WorkEval, isa::exactly_equal> {
  public:
-  EvalCache() = default;
-  EvalCache(const EvalCache&) = delete;
-  EvalCache& operator=(const EvalCache&) = delete;
-
   /// Registers `cfg` (exact equality) and returns its stable token. Cheap
   /// after the first call per distinct processor; call once per sweep point
   /// and reuse for every phase.
-  std::uint64_t processor_token(const ProcessorConfig& cfg);
+  std::uint64_t processor_token(const ProcessorConfig& cfg) {
+    {
+      std::shared_lock<std::shared_mutex> lock(proc_mutex_);
+      if (const auto token = find_locked(cfg)) return *token;
+    }
+    std::unique_lock<std::shared_mutex> lock(proc_mutex_);
+    if (const auto token = find_locked(cfg)) return *token;
+    processors_.push_back(cfg);
+    return processors_.size() - 1;
+  }
 
   /// Memoized exec.evaluate_work(work). `token` must come from
   /// processor_token(exec.config()); `work_h` must be isa::work_hash(work).
   WorkEval work_eval(const ExecModel& exec, std::uint64_t token,
-                     const isa::WorkEstimate& work, std::uint64_t work_h);
-
-  /// Distinct (processor, work) values actually evaluated. Deterministic.
-  std::size_t evals() const { return evals_.load(std::memory_order_relaxed); }
-  /// Total work_eval() calls.
-  std::size_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
+                     const isa::WorkEstimate& work, std::uint64_t work_h) {
+    return get({token, work_h}, work, [&] { return exec.evaluate_work(work); });
   }
-  /// Calls served from the cache: lookups() - evals().
-  std::size_t hits() const { return lookups() - evals(); }
+
   /// Distinct processors registered so far.
-  std::size_t processors() const;
+  std::size_t processors() const {
+    std::shared_lock<std::shared_mutex> lock(proc_mutex_);
+    return processors_.size();
+  }
 
  private:
-  using Key = std::pair<std::uint64_t, std::uint64_t>;  // (proc token, hash)
-  struct Entry {
-    isa::WorkEstimate input;
-    WorkEval output;
-  };
-  struct Bucket {
-    std::mutex mutex;
-    std::vector<Entry> entries;
-  };
-
-  std::shared_ptr<Bucket> bucket_for(const Key& key);
+  std::optional<std::uint64_t> find_locked(const ProcessorConfig& cfg) const {
+    for (std::size_t i = 0; i < processors_.size(); ++i) {
+      if (processors_[i] == cfg) return i;
+    }
+    return std::nullopt;
+  }
 
   mutable std::shared_mutex proc_mutex_;
   std::vector<ProcessorConfig> processors_;
-
-  std::shared_mutex map_mutex_;
-  std::map<Key, std::shared_ptr<Bucket>> buckets_;
-  std::atomic<std::size_t> evals_{0};
-  std::atomic<std::size_t> lookups_{0};
 };
 
 }  // namespace fibersim::machine

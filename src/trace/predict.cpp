@@ -113,8 +113,8 @@ double rank_comm_seconds(const PhaseComm& phase_comm,
   return seconds;
 }
 
-/// Fold one evaluated phase into the job aggregates (identical for the naive
-/// and canonical paths).
+/// Fold one evaluated phase into the job aggregates (shared by the naive path
+/// and the engine).
 void accumulate_phase(JobPrediction& out, PhasePrediction&& phase) {
   if (phase.timed) {
     out.compute_s += phase.time.compute_s;
@@ -128,6 +128,202 @@ void accumulate_phase(JobPrediction& out, PhasePrediction&& phase) {
     out.setup_s += phase.total_s;
   }
   out.phases.push_back(std::move(phase));
+}
+
+/// A canonical trace as the engine sees it: each equivalence class's record
+/// holds its members' sends verbatim, in std::map (ascending-dst) order.
+class CanonicalView {
+ public:
+  explicit CanonicalView(const CanonicalTrace& trace) : trace_(trace) {}
+
+  int ranks() const { return trace_.ranks(); }
+  const std::vector<CanonicalTrace::Phase>& phases() const {
+    return trace_.phases();
+  }
+  std::size_t class_of(std::size_t p, int rank) const {
+    return static_cast<std::size_t>(
+        trace_.phases()[p].class_of[static_cast<std::size_t>(rank)]);
+  }
+  template <typename Send>
+  void for_each_send(std::size_t p, int rank, Send&& send) const {
+    const PhaseRecord& rec = trace_.phases()[p].classes[class_of(p, rank)].record;
+    for (const auto& [dst, traffic] : rec.comm.sends) {
+      send(dst, traffic.messages, traffic.bytes);
+    }
+  }
+
+ private:
+  const CanonicalTrace& trace_;
+};
+
+/// A collapsed trace as the engine sees it: a symmetry class stands for its
+/// members bitwise except for their sends, which rank_sends() remaps per
+/// member into the same ascending-dst order a full run's map iterates in.
+class CollapsedView {
+ public:
+  explicit CollapsedView(const CollapsedTrace& trace) : trace_(trace) {}
+
+  int ranks() const { return trace_.ranks(); }
+  const std::vector<CollapsedTrace::Phase>& phases() const {
+    return trace_.phases();
+  }
+  std::size_t class_of(std::size_t /*p*/, int rank) const {
+    return static_cast<std::size_t>(trace_.symmetry().class_of(rank));
+  }
+  template <typename Send>
+  void for_each_send(std::size_t p, int rank, Send&& send) const {
+    trace_.rank_sends(p, rank, &sends_);
+    for (const CollapsedTrace::RankSend& s : sends_) {
+      send(s.dst, s.messages, s.bytes);
+    }
+  }
+
+ private:
+  const CollapsedTrace& trace_;
+  mutable std::vector<CollapsedTrace::RankSend> sends_;  // per-rank scratch
+};
+
+/// The prediction engine behind both class-level overloads: bit-identical to
+/// the naive path on the JobTrace the view stands for, at O(classes) codegen
+/// and exec-model evaluations per phase plus an O(ranks x threads) placement
+/// replay. `View` answers, per phase, the classes (record + work_hash), each
+/// rank's class, and each rank's sends in ascending-dst order; it is a
+/// template parameter so the per-rank loops make no indirect calls.
+template <typename View>
+JobPrediction predict_classes(const machine::ProcessorConfig& cfg,
+                              const cg::CompileOptions& opts,
+                              const topo::Binding& binding, const View& view,
+                              PredictMemo memo) {
+  FS_REQUIRE(view.ranks() == binding.ranks(),
+             "trace rank count does not match the binding");
+  // A null memo pointer gets a call-local memo: one evaluation path.
+  cg::CodegenCache local_codegen;
+  machine::EvalCache local_exec;
+  if (memo.codegen == nullptr) memo.codegen = &local_codegen;
+  if (memo.exec == nullptr) memo.exec = &local_exec;
+
+  const machine::ExecModel exec(cfg);
+  const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
+  const int ranks = binding.ranks();
+  const int threads = binding.threads_per_rank();
+  const std::uint64_t proc_token = memo.exec->processor_token(cfg);
+
+  // Placement tables: computed once per sweep point and reused by every
+  // phase (the naive path re-derives them per thread entry per phase).
+  const std::size_t nt = static_cast<std::size_t>(ranks) *
+                         static_cast<std::size_t>(threads);
+  std::vector<int> numa_of(nt);
+  std::vector<int> home_of(ranks);
+  std::vector<double> team_barrier(ranks);
+  topo::Distance widest = topo::Distance::kSameNuma;
+  for (int rank = 0; rank < ranks; ++rank) {
+    for (int t = 0; t < threads; ++t) {
+      numa_of[static_cast<std::size_t>(rank) * threads + t] =
+          binding.thread_numa(rank, t);
+    }
+    home_of[static_cast<std::size_t>(rank)] = binding.home_numa(rank);
+    const topo::Distance span = binding.team_span(rank);
+    team_barrier[static_cast<std::size_t>(rank)] =
+        exec.barrier_seconds(threads, span);
+    widest = std::max(widest, span);
+  }
+  const topo::Distance job_span = binding.job_span();
+
+  JobPrediction out;
+  out.phases.reserve(view.phases().size());
+  std::vector<machine::ThreadRef> refs;
+  refs.reserve(nt);
+
+  struct ClassEval {
+    machine::WorkEval eval;
+    std::vector<double> coll_terms;
+  };
+  std::vector<ClassEval> class_evals;
+
+  for (std::size_t p = 0; p < view.phases().size(); ++p) {
+    cancel::checkpoint();  // deadline shed between phases, not mid-phase
+    const auto& ph = view.phases()[p];
+    const bool fan_out = ph.parallel && threads > 1;
+
+    // Stage 1 — per class, not per rank: codegen transform, thread-share
+    // scaling, exec-model work evaluation, collective costs. Work and
+    // collective logs are identical within a class, so the class record
+    // stands for every member bitwise.
+    class_evals.clear();
+    class_evals.reserve(ph.classes.size());
+    for (const auto& cls : ph.classes) {
+      const isa::WorkEstimate generated =
+          cg::apply(*memo.codegen, opts, cls.record.work, cls.work_hash);
+      const isa::WorkEstimate per_thread =
+          fan_out ? generated.scaled(1.0 / static_cast<double>(threads))
+                  : generated;
+      ClassEval ce;
+      ce.eval = memo.exec->work_eval(exec, proc_token, per_thread,
+                                     isa::work_hash(per_thread));
+      ce.coll_terms =
+          collective_terms(comm_model, ranks, job_span, cls.record.comm);
+      class_evals.push_back(std::move(ce));
+    }
+
+    // Pass A: aggregate the phase's inter-node traffic for contention, in
+    // the same rank-major order as the naive path (integer accumulation, so
+    // the order only matters for auditability).
+    PhaseComm phase_comm(comm_model, binding);
+    for (int rank = 0; rank < ranks; ++rank) {
+      view.for_each_send(p, rank,
+                         [&](int dst, std::uint64_t, std::uint64_t bytes) {
+                           phase_comm.add_flow(rank, dst, bytes);
+                         });
+    }
+    phase_comm.seal();
+
+    // Stage 2 — cheap placement replay in the naive rank-major order, with
+    // each rank's sends in ascending-dst order, so the accumulation sequence
+    // (and therefore every output bit) matches the naive path exactly.
+    refs.clear();
+    double worst_comm_s = 0.0;
+    for (int rank = 0; rank < ranks; ++rank) {
+      const ClassEval& ce = class_evals[view.class_of(p, rank)];
+      if (fan_out) {
+        for (int t = 0; t < threads; ++t) {
+          refs.push_back(machine::ThreadRef{
+              &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads + t],
+              home_of[static_cast<std::size_t>(rank)],
+              team_barrier[static_cast<std::size_t>(rank)]});
+        }
+      } else {
+        refs.push_back(machine::ThreadRef{
+            &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads],
+            home_of[static_cast<std::size_t>(rank)], 0.0});
+      }
+      double comm_s = 0.0;
+      view.for_each_send(p, rank,
+                         [&](int dst, std::uint64_t messages,
+                             std::uint64_t bytes) {
+                           comm_s += phase_comm.send_seconds(rank, dst,
+                                                             messages, bytes);
+                         });
+      for (const double term : ce.coll_terms) comm_s += term;
+      worst_comm_s = std::max(worst_comm_s, comm_s);
+    }
+
+    PhasePrediction phase;
+    phase.name = ph.name;
+    phase.timed = ph.timed;
+    phase.time = exec.evaluate_phase_refs(refs);
+    // Per-entry team barriers: one fork-join per phase entry.
+    if (ph.parallel && threads > 1 && ph.entries > 1) {
+      phase.time.barrier_s += static_cast<double>(ph.entries - 1) *
+                              exec.barrier_seconds(threads, widest);
+      phase.time.total_s += static_cast<double>(ph.entries - 1) *
+                            exec.barrier_seconds(threads, widest);
+    }
+    phase.comm_s = worst_comm_s;
+    phase.total_s = phase.time.total_s + phase.comm_s;
+
+    accumulate_phase(out, std::move(phase));
+  }
+  return out;
 }
 
 }  // namespace
@@ -236,128 +432,7 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const topo::Binding& binding,
                           const CanonicalTrace& trace,
                           const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "trace rank count does not match the binding");
-
-  const machine::ExecModel exec(cfg);
-  const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
-  const int ranks = binding.ranks();
-  const int threads = binding.threads_per_rank();
-  const std::uint64_t proc_token =
-      memo.exec ? memo.exec->processor_token(cfg) : 0;
-
-  // Placement tables: computed once per sweep point and reused by every
-  // phase (the naive path re-derives them per thread entry per phase).
-  const std::size_t nt = static_cast<std::size_t>(ranks) *
-                         static_cast<std::size_t>(threads);
-  std::vector<int> numa_of(nt);
-  std::vector<int> home_of(ranks);
-  std::vector<double> team_barrier(ranks);
-  topo::Distance widest = topo::Distance::kSameNuma;
-  for (int rank = 0; rank < ranks; ++rank) {
-    for (int t = 0; t < threads; ++t) {
-      numa_of[static_cast<std::size_t>(rank) * threads + t] =
-          binding.thread_numa(rank, t);
-    }
-    home_of[static_cast<std::size_t>(rank)] = binding.home_numa(rank);
-    const topo::Distance span = binding.team_span(rank);
-    team_barrier[static_cast<std::size_t>(rank)] =
-        exec.barrier_seconds(threads, span);
-    widest = std::max(widest, span);
-  }
-  const topo::Distance job_span = binding.job_span();
-
-  JobPrediction out;
-  out.phases.reserve(trace.phase_count());
-  std::vector<machine::ThreadRef> refs;
-  refs.reserve(nt);
-
-  struct ClassEval {
-    machine::WorkEval eval;
-    std::vector<double> coll_terms;
-  };
-  std::vector<ClassEval> class_evals;
-
-  for (const CanonicalTrace::Phase& ph : trace.phases()) {
-    cancel::checkpoint();  // deadline shed between phases, not mid-phase
-    const bool fan_out = ph.parallel && threads > 1;
-
-    // Stage 1 — per equivalence class, not per rank: codegen transform,
-    // thread-share scaling, exec-model work evaluation, collective costs.
-    class_evals.clear();
-    class_evals.reserve(ph.classes.size());
-    for (const CanonicalTrace::Class& cls : ph.classes) {
-      const isa::WorkEstimate generated =
-          memo.codegen ? memo.codegen->apply(opts, cls.record.work, cls.work_hash)
-                       : cg::apply(opts, cls.record.work);
-      const isa::WorkEstimate per_thread =
-          fan_out ? generated.scaled(1.0 / static_cast<double>(threads))
-                  : generated;
-      ClassEval ce;
-      ce.eval = memo.exec
-                    ? memo.exec->work_eval(exec, proc_token, per_thread,
-                                           isa::work_hash(per_thread))
-                    : exec.evaluate_work(per_thread);
-      ce.coll_terms =
-          collective_terms(comm_model, ranks, job_span, cls.record.comm);
-      class_evals.push_back(std::move(ce));
-    }
-
-    // Pass A: aggregate the phase's inter-node traffic for contention, in
-    // the same rank-major order as the naive path (integer accumulation, so
-    // the order only matters for auditability).
-    PhaseComm phase_comm(comm_model, binding);
-    for (int rank = 0; rank < ranks; ++rank) {
-      const std::size_t ci =
-          static_cast<std::size_t>(ph.class_of[static_cast<std::size_t>(rank)]);
-      phase_comm.add_rank_flows(rank, ph.classes[ci].record.comm);
-    }
-    phase_comm.seal();
-
-    // Stage 2 — cheap placement replay in the naive rank-major order, so the
-    // accumulation sequence (and therefore every output bit) matches the
-    // naive path exactly.
-    refs.clear();
-    double worst_comm_s = 0.0;
-    for (int rank = 0; rank < ranks; ++rank) {
-      const std::size_t ci =
-          static_cast<std::size_t>(ph.class_of[static_cast<std::size_t>(rank)]);
-      const ClassEval& ce = class_evals[ci];
-      if (fan_out) {
-        for (int t = 0; t < threads; ++t) {
-          refs.push_back(machine::ThreadRef{
-              &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads + t],
-              home_of[static_cast<std::size_t>(rank)],
-              team_barrier[static_cast<std::size_t>(rank)]});
-        }
-      } else {
-        refs.push_back(machine::ThreadRef{
-            &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads],
-            home_of[static_cast<std::size_t>(rank)], 0.0});
-      }
-      double comm_s =
-          phase_comm.rank_p2p_seconds(rank, ph.classes[ci].record.comm);
-      for (const double term : ce.coll_terms) comm_s += term;
-      worst_comm_s = std::max(worst_comm_s, comm_s);
-    }
-
-    PhasePrediction phase;
-    phase.name = ph.name;
-    phase.timed = ph.timed;
-    phase.time = exec.evaluate_phase_refs(refs);
-    // Per-entry team barriers: one fork-join per phase entry.
-    if (ph.parallel && threads > 1 && ph.entries > 1) {
-      phase.time.barrier_s += static_cast<double>(ph.entries - 1) *
-                              exec.barrier_seconds(threads, widest);
-      phase.time.total_s += static_cast<double>(ph.entries - 1) *
-                            exec.barrier_seconds(threads, widest);
-    }
-    phase.comm_s = worst_comm_s;
-    phase.total_s = phase.time.total_s + phase.comm_s;
-
-    accumulate_phase(out, std::move(phase));
-  }
-  return out;
+  return predict_classes(cfg, opts, binding, CanonicalView(trace), memo);
 }
 
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
@@ -365,133 +440,7 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const topo::Binding& binding,
                           const CollapsedTrace& trace,
                           const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "collapsed trace rank count does not match the binding");
-
-  const machine::ExecModel exec(cfg);
-  const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
-  const int ranks = binding.ranks();
-  const int threads = binding.threads_per_rank();
-  const std::uint64_t proc_token =
-      memo.exec ? memo.exec->processor_token(cfg) : 0;
-
-  const std::size_t nt = static_cast<std::size_t>(ranks) *
-                         static_cast<std::size_t>(threads);
-  std::vector<int> numa_of(nt);
-  std::vector<int> home_of(ranks);
-  std::vector<double> team_barrier(ranks);
-  topo::Distance widest = topo::Distance::kSameNuma;
-  for (int rank = 0; rank < ranks; ++rank) {
-    for (int t = 0; t < threads; ++t) {
-      numa_of[static_cast<std::size_t>(rank) * threads + t] =
-          binding.thread_numa(rank, t);
-    }
-    home_of[static_cast<std::size_t>(rank)] = binding.home_numa(rank);
-    const topo::Distance span = binding.team_span(rank);
-    team_barrier[static_cast<std::size_t>(rank)] =
-        exec.barrier_seconds(threads, span);
-    widest = std::max(widest, span);
-  }
-  const topo::Distance job_span = binding.job_span();
-
-  JobPrediction out;
-  out.phases.reserve(trace.phase_count());
-  std::vector<machine::ThreadRef> refs;
-  refs.reserve(nt);
-  std::vector<CollapsedTrace::RankSend> sends;  // per-rank scratch
-
-  struct ClassEval {
-    machine::WorkEval eval;
-    std::vector<double> coll_terms;
-  };
-  std::vector<ClassEval> class_evals;
-
-  const mp::RankSymmetry& symmetry = trace.symmetry();
-  for (std::size_t p = 0; p < trace.phase_count(); ++p) {
-    cancel::checkpoint();  // deadline shed between phases, not mid-phase
-    const CollapsedTrace::Phase& ph = trace.phases()[p];
-    const bool fan_out = ph.parallel && threads > 1;
-
-    // Stage 1 — per symmetry class: codegen transform, thread-share scaling,
-    // exec-model work evaluation, collective costs. Work and collective logs
-    // are structural, so the class record stands for every member bitwise.
-    class_evals.clear();
-    class_evals.reserve(ph.classes.size());
-    for (const CollapsedTrace::ClassRecord& cls : ph.classes) {
-      const isa::WorkEstimate generated =
-          memo.codegen ? memo.codegen->apply(opts, cls.record.work,
-                                             isa::work_hash(cls.record.work))
-                       : cg::apply(opts, cls.record.work);
-      const isa::WorkEstimate per_thread =
-          fan_out ? generated.scaled(1.0 / static_cast<double>(threads))
-                  : generated;
-      ClassEval ce;
-      ce.eval = memo.exec
-                    ? memo.exec->work_eval(exec, proc_token, per_thread,
-                                           isa::work_hash(per_thread))
-                    : exec.evaluate_work(per_thread);
-      ce.coll_terms =
-          collective_terms(comm_model, ranks, job_span, cls.record.comm);
-      class_evals.push_back(std::move(ce));
-    }
-
-    // Pass A: every virtual rank's remapped sends feed the contention map —
-    // integer accumulation, identical totals to a full run of the same job.
-    PhaseComm phase_comm(comm_model, binding);
-    for (int rank = 0; rank < ranks; ++rank) {
-      trace.rank_sends(p, rank, &sends);
-      for (const CollapsedTrace::RankSend& s : sends) {
-        phase_comm.add_flow(rank, s.dst, s.bytes);
-      }
-    }
-    phase_comm.seal();
-
-    // Stage 2 — rank-major placement replay. rank_sends() yields the same
-    // ascending-dst order a full run's per-rank send map iterates in, so the
-    // floating-point fold matches the full paths bit for bit.
-    refs.clear();
-    double worst_comm_s = 0.0;
-    for (int rank = 0; rank < ranks; ++rank) {
-      const std::size_t ci = static_cast<std::size_t>(symmetry.class_of(rank));
-      const ClassEval& ce = class_evals[ci];
-      if (fan_out) {
-        for (int t = 0; t < threads; ++t) {
-          refs.push_back(machine::ThreadRef{
-              &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads + t],
-              home_of[static_cast<std::size_t>(rank)],
-              team_barrier[static_cast<std::size_t>(rank)]});
-        }
-      } else {
-        refs.push_back(machine::ThreadRef{
-            &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads],
-            home_of[static_cast<std::size_t>(rank)], 0.0});
-      }
-      trace.rank_sends(p, rank, &sends);
-      double comm_s = 0.0;
-      for (const CollapsedTrace::RankSend& s : sends) {
-        comm_s += phase_comm.send_seconds(rank, s.dst, s.messages, s.bytes);
-      }
-      for (const double term : ce.coll_terms) comm_s += term;
-      worst_comm_s = std::max(worst_comm_s, comm_s);
-    }
-
-    PhasePrediction phase;
-    phase.name = ph.name;
-    phase.timed = ph.timed;
-    phase.time = exec.evaluate_phase_refs(refs);
-    // Per-entry team barriers: one fork-join per phase entry.
-    if (ph.parallel && threads > 1 && ph.entries > 1) {
-      phase.time.barrier_s += static_cast<double>(ph.entries - 1) *
-                              exec.barrier_seconds(threads, widest);
-      phase.time.total_s += static_cast<double>(ph.entries - 1) *
-                            exec.barrier_seconds(threads, widest);
-    }
-    phase.comm_s = worst_comm_s;
-    phase.total_s = phase.time.total_s + phase.comm_s;
-
-    accumulate_phase(out, std::move(phase));
-  }
-  return out;
+  return predict_classes(cfg, opts, binding, CollapsedView(trace), memo);
 }
 
 }  // namespace fibersim::trace

@@ -4,6 +4,11 @@
 // This is where the deterministic-prediction contract of DESIGN.md is
 // enforced: the inputs are counted work and logged traffic; the outputs are
 // model seconds, never host wall-clock.
+//
+// There is one prediction engine. The CanonicalTrace and CollapsedTrace
+// overloads are thin adapters that hand it a view of their trace (classes,
+// each rank's class, each rank's sends); the JobTrace overload is the naive
+// per-rank x thread reference both are tested against bit for bit.
 #pragma once
 
 #include <string>
@@ -65,10 +70,11 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding, const JobTrace& trace);
 
-/// Optional shared memo caches for the canonical prediction path. Both
-/// pointers may be null (that stage then evaluates directly, still only once
-/// per equivalence class). The caches are thread-safe; one pair is typically
-/// owned by a core::Runner and shared by every sweep point.
+/// Optional shared memo caches for the class-level prediction paths. A null
+/// pointer gets a call-local cache, so the evaluation path is the same
+/// either way (still once per class per call). The caches are thread-safe;
+/// one pair is typically owned by a core::Runner and shared by every sweep
+/// point.
 struct PredictMemo {
   cg::CodegenCache* codegen = nullptr;
   machine::EvalCache* exec = nullptr;
@@ -86,11 +92,13 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const CanonicalTrace& trace,
                           const PredictMemo& memo = {});
 
-/// Predict from a collapsed trace without materialising the expansion:
-/// bit-identical to the full paths on the JobTrace that CollapsedTrace::
-/// expand() would yield, but native execution and stage-1 evaluation cost
-/// O(symmetry classes) while placement replay stays O(ranks x threads) —
-/// the path that makes 10^5-10^6-rank weak-scaling sweeps feasible.
+/// Predict from a collapsed trace without materialising the expansion: the
+/// same engine as the CanonicalTrace overload, with each member's sends
+/// remapped through CollapsedTrace::rank_sends. Bit-identical to the full
+/// paths on the JobTrace that CollapsedTrace::expand() would yield, but
+/// native execution and stage-1 evaluation cost O(symmetry classes) while
+/// placement replay stays O(ranks x threads) — the path that makes
+/// 10^5-10^6-rank weak-scaling sweeps feasible.
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding,

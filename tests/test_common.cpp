@@ -1,5 +1,5 @@
 // Unit tests for the common utilities: error handling, RNG, statistics,
-// strings, tables, aligned buffers.
+// strings, tables, aligned buffers, the exact memo.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include "common/aligned_buffer.hpp"
 #include "common/barchart.hpp"
 #include "common/error.hpp"
+#include "common/exact_memo.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/parse_num.hpp"
@@ -548,6 +549,32 @@ TEST(Json, ReportsByteOffsets) {
   std::string error;
   EXPECT_FALSE(json::parse(R"({"a":bogus})", &error));
   EXPECT_NE(error.find("at byte"), std::string::npos);
+}
+
+// ----- exact memo -----
+
+bool same_int(const int& a, const int& b) { return a == b; }
+
+// Inputs that share a key (a hash collision) must each be computed once and
+// never served each other's result; the counters stay exact.
+TEST(ExactMemo, CollidingKeysNeverAliasInputs) {
+  ExactMemo<int, int, same_int> memo;
+  int computed = 0;
+  const auto square = [&](int x) {
+    return memo.get({7, 7}, x, [&] {
+      ++computed;
+      return x * x;
+    });
+  };
+  EXPECT_EQ(square(3), 9);
+  EXPECT_EQ(square(4), 16);  // same key, different input: a fresh compute
+  EXPECT_EQ(square(3), 9);
+  EXPECT_EQ(square(4), 16);
+  EXPECT_EQ(memo.get({7, 8}, 3, [] { return -1; }), -1);  // other key
+  EXPECT_EQ(computed, 2);
+  EXPECT_EQ(memo.evals(), 3u);
+  EXPECT_EQ(memo.lookups(), 5u);
+  EXPECT_EQ(memo.hits(), 2u);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Unit tests for the trace recorder and job prediction.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "mp/job.hpp"
 #include "trace/predict.hpp"
 #include "trace/recorder.hpp"
@@ -218,37 +222,21 @@ TEST(Predict, CompilerOptionsChangeTime) {
 
 // ----- serialization -----
 
-namespace json {
-/// Minimal structural validator: balanced brackets, balanced quotes.
-bool well_formed(const std::string& text) {
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : text) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (in_string) {
-      if (c == '\\') escaped = true;
-      if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    if (depth < 0) return false;
-  }
-  return depth == 0 && !in_string;
+/// Parses `text` with the hardened parser (strict grammar, no raw control
+/// characters in strings); on failure the test reports the parser's error.
+std::optional<json::Value> parse_json(const std::string& text) {
+  std::string error;
+  std::optional<json::Value> value = json::parse(text, &error);
+  EXPECT_TRUE(value.has_value()) << error << "\n" << text;
+  return value;
 }
-}  // namespace json
 
 TEST(Serialize, TraceJsonIsWellFormedAndComplete) {
   JobTrace trace = single_phase_trace(3, 1e6);
   trace[0][0].comm.record_send(1, 100);
   trace[0][0].comm.record_collective(mp::CollectiveKind::kAllreduce, 8);
   const std::string text = to_json(trace);
-  EXPECT_TRUE(json::well_formed(text)) << text;
+  EXPECT_TRUE(parse_json(text).has_value());
   EXPECT_NE(text.find("\"name\":\"kernel\""), std::string::npos);
   EXPECT_NE(text.find("\"flops\":1000000"), std::string::npos);
   EXPECT_NE(text.find("\"allreduce\""), std::string::npos);
@@ -260,7 +248,7 @@ TEST(Serialize, PredictionJsonIsWellFormed) {
       predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
                   binding_for(2, 2), single_phase_trace(2, 1e7));
   const std::string text = to_json(pred);
-  EXPECT_TRUE(json::well_formed(text)) << text;
+  EXPECT_TRUE(parse_json(text).has_value());
   EXPECT_NE(text.find("\"total_s\""), std::string::npos);
   EXPECT_NE(text.find("\"limiter\""), std::string::npos);
   EXPECT_NE(text.find("\"phases\":["), std::string::npos);
@@ -273,9 +261,23 @@ TEST(Serialize, EmptyTraceIsAnEmptyArray) {
 TEST(Serialize, EscapesQuotesInNames) {
   JobTrace trace = single_phase_trace(1, 1.0);
   trace[0][0].name = "odd\"name";
-  const std::string text = to_json(trace);
-  EXPECT_TRUE(json::well_formed(text));
+  std::string text = to_json(trace);
+  EXPECT_TRUE(parse_json(text).has_value());
   EXPECT_NE(text.find("odd\\\"name"), std::string::npos);
+
+  // Control characters must be escaped too: a raw newline would split a
+  // line-delimited serve response, a raw \x01 is invalid JSON.
+  const std::string odd = "a\nb\x01";
+  trace[0][0].name = odd;
+  text = to_json(trace);
+  EXPECT_EQ(text.find('\n'), std::string::npos);
+  const std::optional<json::Value> parsed = parse_json(text);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->items().size(), 1u);
+  ASSERT_EQ(parsed->items()[0].items().size(), 1u);
+  const json::Value* name = parsed->items()[0].items()[0].find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->as_string(), odd);
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
 #!/usr/bin/env sh
 # CI gate: tier-1 verify (full build + full test suite), then the
-# concurrency/fault-labelled tests rebuilt under ThreadSanitizer and the
-# failure/fault-injection suites under AddressSanitizer.
+# concurrency/fault-labelled tests rebuilt under ThreadSanitizer and
+# UndefinedBehaviorSanitizer, and the failure/fault-injection suites under
+# AddressSanitizer.
 #
 # Usage: tools/ci.sh            (from the repo root)
 #   BUILD_DIR=...  override the tier-1 build dir   (default: build)
 #   TSAN_DIR=...   override the TSan build dir     (default: build-tsan)
 #   ASAN_DIR=...   override the ASan build dir     (default: build-asan)
+#   UBSAN_DIR=...  override the UBSan build dir    (default: build-ubsan)
 set -eu
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_DIR="${TSAN_DIR:-build-tsan}"
 ASAN_DIR="${ASAN_DIR:-build-asan}"
+UBSAN_DIR="${UBSAN_DIR:-build-ubsan}"
 
 echo "== tier-1: build + full test suite =="
 cmake -B "$BUILD_DIR" -S .
@@ -227,5 +230,13 @@ echo "== fault: failure/fault-injection suites under ASan =="
 cmake -B "$ASAN_DIR" -S . -DFIBERSIM_SANITIZE=address
 cmake --build "$ASAN_DIR" -j
 ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
+
+echo "== sanitize: concurrency + fault suites under UBSan =="
+# halt_on_error turns the first undefined-behaviour report into a failing
+# test instead of a line of stderr noise.
+cmake -B "$UBSAN_DIR" -S . -DFIBERSIM_SANITIZE=undefined
+cmake --build "$UBSAN_DIR" -j
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir "$UBSAN_DIR" -L sanitize --output-on-failure
 
 echo "== ci: all green =="
