@@ -361,6 +361,16 @@ std::shared_ptr<const Runner::Execution> Runner::execute(
 
 ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
                              RunTier* tier) {
+  return evaluate(config, attempt, tier, /*with_trace=*/true);
+}
+
+ExperimentResult Runner::predict(const ExperimentConfig& config, int attempt,
+                                 RunTier* tier) {
+  return evaluate(config, attempt, tier, /*with_trace=*/false);
+}
+
+ExperimentResult Runner::evaluate(const ExperimentConfig& config, int attempt,
+                                  RunTier* tier, bool with_trace) {
   config.validate();
   cancel::checkpoint();
 
@@ -393,7 +403,7 @@ ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
                                exec->collapsed, memo)
           : trace::predict_job(config.processor, config.compile, binding,
                                exec->canonical, memo);
-  result.job_trace = exec->job_trace;
+  if (with_trace) result.job_trace = exec->job_trace;
   result.verified = exec->verified;
   result.check_value = exec->check_value;
   result.check_description = exec->check_description;

@@ -12,17 +12,17 @@
 // disk (native_runs() == 0, one disk_hit per key) with byte-identical
 // results, because the store round-trips traces bit-exactly.
 //
-// Runner is thread-safe: run() may be called concurrently (the SweepPool
-// does exactly that). Concurrent calls with the same execution key coalesce
-// onto a single native run via a per-entry state machine; every other caller
-// blocks until that run finishes and then reads the completed entry. A
-// native run that *throws* releases the entry instead of wedging it — the
-// next caller (racing waiters included) claims the slot and retries, and the
-// per-entry attempt counter feeds the fault-injection salt so each retry
-// draws an independent fault pattern. (The previous std::once_flag design
-// could not express this: a throwing active call leaves waiters' behaviour
-// at the mercy of the libstdc++ once implementation, and there is no way to
-// observe the attempt number.)
+// Runner is thread-safe: run() and predict() may be called concurrently (the
+// SweepPool does exactly that). Concurrent calls with the same execution key
+// coalesce onto a single native run via a per-entry state machine; every
+// other caller blocks until that run finishes and then reads the completed
+// entry. A native run that *throws* releases the entry instead of wedging
+// it — the next caller (racing waiters included) claims the slot and
+// retries, and the per-entry attempt counter feeds the fault-injection salt
+// so each retry draws an independent fault pattern. (The previous
+// std::once_flag design could not express this: a throwing active call
+// leaves waiters' behaviour at the mercy of the libstdc++ once
+// implementation, and there is no way to observe the attempt number.)
 #pragma once
 
 #include <atomic>
@@ -43,8 +43,11 @@ namespace fibersim::core {
 struct ExperimentResult {
   ExperimentConfig config;
   trace::JobPrediction prediction;
-  /// The recorded trace the prediction was computed from (shared with the
-  /// runner's cache; useful for dumping/serialisation).
+  /// A copy of the recorded trace the prediction was computed from, for
+  /// dumping/serialisation. Filled only by Runner::run() (and so by
+  /// SweepPool::run/run_resilient); empty after Runner::predict() and on a
+  /// journal hit. A collapsed execution above 4096 ranks has no expanded
+  /// trace, so it is empty there too.
   trace::JobTrace job_trace;
   /// Every rank's verification must have passed.
   bool verified = false;
@@ -71,8 +74,16 @@ class Runner {
   /// passes its per-task attempt); it only matters under an active fault
   /// plan, where it drives deterministic prediction-failure injection.
   /// `tier` (optional) receives which cache tier satisfied the execution.
+  /// The result carries a copy of the recorded trace.
   ExperimentResult run(const ExperimentConfig& config, int attempt = 0,
                        RunTier* tier = nullptr);
+
+  /// Exactly run() without the trace copy: the same prediction, power and
+  /// verification, with `job_trace` left empty. For callers that keep only
+  /// the numbers (the tuner, serve predict), where copying a ranks x phases
+  /// trace per config dominates the cost.
+  ExperimentResult predict(const ExperimentConfig& config, int attempt = 0,
+                           RunTier* tier = nullptr);
 
   /// Number of native executions performed so far (tests use this to assert
   /// the caching contract).
@@ -167,6 +178,10 @@ class Runner {
   /// observe mid-construction.
   std::shared_ptr<const Execution> execute(const ExperimentConfig& config,
                                            RunTier* tier);
+
+  /// The body of run() and predict(); copies the trace iff `with_trace`.
+  ExperimentResult evaluate(const ExperimentConfig& config, int attempt,
+                            RunTier* tier, bool with_trace);
 
   /// One native run attempt (no caching); throws on failure.
   Execution run_native(const ExperimentConfig& config, int attempt);

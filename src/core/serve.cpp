@@ -666,7 +666,7 @@ std::string Server::execute_predict(const ServeRequest& req) {
     tier_name = "journal";
   } else {
     RunTier tier = RunTier::kNative;
-    res = runner_.run(req.config, 0, &tier);
+    res = runner_.predict(req.config, 0, &tier);
     if (journal_ != nullptr && !journal_->record(req.config, res)) {
       // Not fatal — the simulator is deterministic, so a crash just costs a
       // re-run — but the durability promise is weakened; say so.

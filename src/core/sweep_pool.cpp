@@ -100,6 +100,44 @@ std::string error_text(const std::exception_ptr& error) {
 
 }  // namespace
 
+void SweepPool::for_each(std::size_t n,
+                         const std::function<void(std::size_t)>& task) const {
+  // Slot i of `errors` belongs to the worker that claimed index i; the join
+  // is the synchronisation point.
+  std::vector<std::exception_ptr> errors(n);
+  auto run_one = [&](std::size_t i) {
+    try {
+      task(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  if (jobs_ == 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) run_one(i);
+  } else {
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+      while (true) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        run_one(i);
+      }
+    };
+    const std::size_t workers =
+        std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
+    std::vector<std::thread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
+    worker();
+    for (std::thread& t : threads) t.join();
+  }
+  // Deterministic: the lowest failing index wins, whichever worker hit its
+  // failure first.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 SweepOutcome SweepPool::run_resilient(
     Runner& runner, const std::vector<ExperimentConfig>& configs,
     const SweepControl& control) const {
@@ -146,25 +184,7 @@ SweepOutcome SweepPool::run_resilient(
     }
   };
 
-  if (jobs_ == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_task(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        run_task(i);
-      }
-    };
-    const std::size_t workers =
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
-    worker();
-    for (std::thread& t : threads) t.join();
-  }
+  for_each(n, run_task);
 
   for (std::size_t i = 0; i < n; ++i) {
     if (!errors[i]) continue;

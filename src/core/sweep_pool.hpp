@@ -8,6 +8,11 @@
 // corresponds to configs[i], whatever order the workers finish in, and a
 // sweep run with N workers is byte-identical to the same sweep run serially.
 //
+// Every entry point schedules through one loop, for_each(n, task): workers
+// claim indices in order and a throwing task fails only its own index.
+// run() and run_resilient() are thin users of it over Runner::run (results
+// carry traces); the tuner drives it directly over Runner::predict.
+//
 // Resilience (run_resilient): each task gets bounded retries with
 // exponential backoff — with an active fault plan the Runner passes the
 // attempt number into the deterministic fault salt, so transient-only plans
@@ -21,6 +26,7 @@
 #pragma once
 
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -76,6 +82,13 @@ class SweepPool {
   static int default_jobs();
 
   int jobs() const { return jobs_; }
+
+  /// Call task(i) for every i in [0, n), up to jobs() at a time. Every task
+  /// runs even when some throw; after the join the exception of the lowest
+  /// failing index is rethrown. Each task owns its own index, so writing
+  /// slot i of a presized output needs no lock.
+  void for_each(std::size_t n,
+                const std::function<void(std::size_t)>& task) const;
 
   /// Evaluate every config through `runner` and return the results in input
   /// order. A throwing task fails only its own slot — every other task still

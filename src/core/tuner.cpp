@@ -106,8 +106,7 @@ std::vector<TuneEvaluation> Tuner::evaluate(
   // Split the batch into already-known keys and fresh work. Duplicate
   // proposals inside one batch (evolution can re-draw a sibling) collapse
   // onto the first occurrence.
-  std::vector<ExperimentConfig> fresh_configs;
-  std::vector<const TuneCandidate*> fresh_candidates;
+  std::vector<const TuneCandidate*> fresh;
   std::map<EvalKey, std::size_t> batch_slots;
   std::vector<EvalKey> keys;
   keys.reserve(candidates.size());
@@ -116,28 +115,32 @@ std::vector<TuneEvaluation> Tuner::evaluate(
     if (memo_.count(key) != 0 || batch_slots.count(key) != 0) {
       ++deduped_;
     } else {
-      batch_slots.emplace(key, fresh_configs.size());
-      fresh_configs.push_back(make_config(candidate, budget));
-      fresh_candidates.push_back(&candidate);
+      batch_slots.emplace(key, fresh.size());
+      fresh.push_back(&candidate);
     }
     keys.push_back(std::move(key));
   }
 
-  if (!fresh_configs.empty()) {
-    const std::vector<ExperimentResult> results =
-        SweepPool(opts_.jobs).run(runner_, fresh_configs);
+  if (!fresh.empty()) {
+    // Each task keeps only its slot's numbers: predict() skips the trace
+    // copy, and no ExperimentResult outlives its task.
+    std::vector<TuneEvaluation> evals(fresh.size());
+    SweepPool(opts_.jobs).for_each(fresh.size(), [&](std::size_t i) {
+      const ExperimentResult result =
+          runner_.predict(make_config(*fresh[i], budget));
+      TuneEvaluation& eval = evals[i];
+      eval.candidate = *fresh[i];
+      eval.seconds = result.seconds();
+      eval.gflops = result.gflops();
+      eval.bw_pressure = result.prediction.bw_pressure();
+    });
     const bool target_budget = budget.dataset == opts_.dataset &&
                                budget.iterations == opts_.iterations;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      TuneEvaluation eval;
-      eval.candidate = *fresh_candidates[i];
-      eval.seconds = results[i].seconds();
-      eval.gflops = results[i].gflops();
-      eval.bw_pressure = results[i].prediction.bw_pressure();
+    for (const TuneEvaluation& eval : evals) {
       memo_.emplace(key_of(eval.candidate, budget), eval);
       if (target_budget) target_evals_.push_back(eval);
     }
-    evaluations_ += results.size();
+    evaluations_ += evals.size();
   }
 
   std::vector<TuneEvaluation> out;

@@ -94,7 +94,7 @@ void LinkContention::add_flow(int src_node, int dst_node,
                               std::uint64_t bytes) {
   FS_REQUIRE(!sealed_, "contention map is sealed");
   if (src_node == dst_node || bytes == 0) return;
-  flows_[{src_node, dst_node}] += bytes;
+  flows_[{src_node, dst_node}].bytes += bytes;
 }
 
 void LinkContention::seal() {
@@ -103,30 +103,31 @@ void LinkContention::seal() {
   if (flows_.empty()) return;
   link_load_.assign(static_cast<std::size_t>(torus_->link_count()), 0);
   std::vector<int> links;
-  for (const auto& [pair, bytes] : flows_) {
+  for (const auto& [pair, flow] : flows_) {
     links.clear();
     torus_->route_links(pair.first, pair.second, &links);
     for (const int link : links) {
       std::uint64_t& load = link_load_[static_cast<std::size_t>(link)];
-      load += bytes;
+      load += flow.bytes;
       max_link_load_ = std::max(max_link_load_, load);
+    }
+  }
+  // Loads are final: each pair's busiest foreign share, once per pair
+  // instead of once per send.
+  for (auto& [pair, flow] : flows_) {
+    links.clear();
+    torus_->route_links(pair.first, pair.second, &links);
+    for (const int link : links) {
+      const std::uint64_t load = link_load_[static_cast<std::size_t>(link)];
+      flow.foreign = std::max(flow.foreign, load - flow.bytes);
     }
   }
 }
 
 std::uint64_t LinkContention::foreign_bytes(int src_node, int dst_node) const {
   FS_REQUIRE(sealed_, "contention map must be sealed first");
-  if (src_node == dst_node) return 0;
   const auto it = flows_.find({src_node, dst_node});
-  if (it == flows_.end()) return 0;
-  std::vector<int> links;
-  torus_->route_links(src_node, dst_node, &links);
-  std::uint64_t worst = 0;
-  for (const int link : links) {
-    const std::uint64_t load = link_load_[static_cast<std::size_t>(link)];
-    worst = std::max(worst, load - it->second);
-  }
-  return worst;
+  return it == flows_.end() ? 0 : it->second.foreign;
 }
 
 }  // namespace fibersim::machine

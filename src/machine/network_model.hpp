@@ -64,21 +64,27 @@ class LinkContention {
 
   /// Accumulate `bytes` flowing src_node -> dst_node (ignored when equal).
   void add_flow(int src_node, int dst_node, std::uint64_t bytes);
-  /// Route every distinct pair once and build per-link loads.
+  /// Route every distinct pair once, build per-link loads, then record each
+  /// pair's foreign bytes.
   void seal();
   bool sealed() const { return sealed_; }
 
   /// Bytes of *other* pairs' traffic on the busiest link of this pair's
   /// route: max over route links of (link load - this pair's bytes).
-  /// Zero for self-flows, unknown pairs and single-node tori.
+  /// Zero for self-flows, unknown pairs and single-node tori. A lookup of
+  /// the value seal() computed.
   std::uint64_t foreign_bytes(int src_node, int dst_node) const;
 
   /// Total load of the most loaded directed link (diagnostics).
   std::uint64_t max_link_load() const { return max_link_load_; }
 
  private:
+  struct Flow {
+    std::uint64_t bytes = 0;
+    std::uint64_t foreign = 0;  ///< set by seal()
+  };
   const TorusMap* torus_;
-  std::map<std::pair<int, int>, std::uint64_t> flows_;
+  std::map<std::pair<int, int>, Flow> flows_;
   std::vector<std::uint64_t> link_load_;
   std::uint64_t max_link_load_ = 0;
   bool sealed_ = false;

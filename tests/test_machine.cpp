@@ -2,14 +2,20 @@
 // locality, execution, communication cost, power, roofline.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "machine/calibrate.hpp"
 #include "machine/comm_model.hpp"
 #include "machine/descriptor.hpp"
@@ -336,6 +342,113 @@ TEST(ExecModel, LaneUtilizationViaTripCounts) {
   EXPECT_NEAR(model.compute_cycles(w), c16, c16 * 0.01);
 }
 
+/// The sparse-map channel accounting evaluate_phase_refs used before its
+/// flat per-domain tables, kept verbatim as the oracle they must match.
+PhaseTime map_reference_phase(const ProcessorConfig& cfg,
+                              const std::vector<ThreadRef>& threads) {
+  PhaseTime out;
+  std::map<int, double> dram_bytes_by_domain;
+  std::map<int, double> remote_in_by_domain;
+  double worst_compute_s = 0.0;
+  double worst_chain_s = 0.0;
+  double worst_barrier_s = 0.0;
+  for (const ThreadRef& t : threads) {
+    const WorkEval& e = *t.eval;
+    out.flops += e.flops;
+    dram_bytes_by_domain[t.numa] += e.local_bytes;
+    dram_bytes_by_domain[t.home_numa] += e.home_bytes;
+    if (t.home_numa != t.numa) {
+      remote_in_by_domain[t.home_numa] += e.home_bytes;
+      out.remote_bytes += e.home_bytes;
+    }
+    out.dram_bytes += e.dram_bytes;
+    worst_compute_s = std::max(worst_compute_s, e.compute_s);
+    worst_chain_s = std::max(worst_chain_s, e.chain_s);
+    worst_barrier_s = std::max(worst_barrier_s, t.barrier_s);
+  }
+  double memory_s = 0.0;
+  for (const auto& [domain, bytes] : dram_bytes_by_domain) {
+    memory_s = std::max(memory_s, bytes / cfg.numa_mem_bw);
+  }
+  if (cfg.inter_numa_bw > 0.0) {
+    for (const auto& [domain, bytes] : remote_in_by_domain) {
+      memory_s = std::max(memory_s, bytes / cfg.inter_numa_bw);
+    }
+  }
+  out.compute_s = worst_compute_s;
+  out.memory_s = memory_s;
+  out.chain_s = worst_chain_s;
+  out.barrier_s = worst_barrier_s;
+  const double hi = std::max(worst_compute_s, memory_s);
+  const double lo = std::min(worst_compute_s, memory_s);
+  out.total_s = hi + (1.0 - cfg.mem_overlap) * lo + worst_barrier_s;
+  if (worst_barrier_s > 0.5 * out.total_s) {
+    out.limiter = Limiter::kBarrier;
+  } else if (memory_s > worst_compute_s) {
+    out.limiter = Limiter::kMemory;
+  } else if (worst_chain_s >= 0.95 * worst_compute_s && worst_chain_s > 0.0) {
+    out.limiter = Limiter::kChain;
+  } else {
+    out.limiter = Limiter::kCompute;
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(ExecModel, FlatChannelTablesMatchTheSparseMapBitwise) {
+  // Sparse and large global NUMA ids, a domain that only ever receives zero
+  // bytes, and threads whose home differs from their own domain. Byte
+  // counts are irregular so any change in per-domain addition order would
+  // move the last bits.
+  const std::vector<int> ids = {0, 7, 102399, 55};
+  Xoshiro256 rng(20210917);
+  for (const ProcessorConfig& cfg : comparison_set()) {
+    const ExecModel model(cfg);
+    for (int trial = 0; trial < 50; ++trial) {
+      SCOPED_TRACE(cfg.name + " trial " + std::to_string(trial));
+      const std::size_t n = 1 + rng.bounded(64);
+      std::vector<WorkEval> evals(n);
+      std::vector<ThreadRef> refs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        WorkEval& e = evals[i];
+        e.flops = rng.uniform(0.0, 1e9);
+        e.local_bytes = rng.uniform(0.0, 3e8);
+        e.home_bytes = rng.uniform(0.0, 3e8);
+        e.dram_bytes = e.local_bytes + e.home_bytes;
+        e.compute_s = rng.uniform(0.0, 2e-3);
+        e.chain_s = e.compute_s * rng.uniform();
+        refs[i].eval = &e;
+        refs[i].numa = ids[rng.bounded(3)];
+        refs[i].home_numa =
+            rng.bounded(2) == 0 ? refs[i].numa : ids[rng.bounded(3)];
+        refs[i].barrier_s = rng.uniform(0.0, 1e-6);
+      }
+      // Domain 55 touched with zero bytes only.
+      WorkEval idle;
+      refs.push_back(ThreadRef{&idle, ids[3], ids[3], 0.0});
+      const PhaseTime got = model.evaluate_phase_refs(refs);
+      const PhaseTime want = map_reference_phase(cfg, refs);
+      EXPECT_TRUE(same_bits(got.compute_s, want.compute_s));
+      EXPECT_TRUE(same_bits(got.memory_s, want.memory_s));
+      EXPECT_TRUE(same_bits(got.barrier_s, want.barrier_s));
+      EXPECT_TRUE(same_bits(got.total_s, want.total_s));
+      EXPECT_TRUE(same_bits(got.flops, want.flops));
+      EXPECT_TRUE(same_bits(got.dram_bytes, want.dram_bytes));
+      EXPECT_TRUE(same_bits(got.remote_bytes, want.remote_bytes));
+      EXPECT_TRUE(same_bits(got.chain_s, want.chain_s));
+      EXPECT_EQ(got.limiter, want.limiter);
+    }
+  }
+  // A table index must never come from a negative id.
+  WorkEval e;
+  const ExecModel model(a64fx());
+  EXPECT_THROW(model.evaluate_phase_refs({ThreadRef{&e, -1, 0, 0.0}}), Error);
+  EXPECT_THROW(model.evaluate_phase_refs({ThreadRef{&e, 0, -1, 0.0}}), Error);
+}
+
 // ----- communication model -----
 
 TEST(CommModel, LatencyMonotoneInDistance) {
@@ -521,6 +634,48 @@ TEST(Contention, MoreTrafficOnASharedLinkNeverGetsCheaper) {
     prev = foreign;
   }
   EXPECT_EQ(prev, 5000u);  // the full rival load lands on the shared link
+}
+
+TEST(Contention, ForeignBytesEqualTheRouteMaximumForEveryPair) {
+  // 4x4x4 torus, a seeded flow between a third of the node pairs: every
+  // pair's looked-up foreign bytes must equal the max over its route links
+  // of (link load - own bytes), recomputed here from route_links.
+  const TorusMap t(64);
+  ASSERT_EQ(t.dims(), (std::array<int, 3>{4, 4, 4}));
+  Xoshiro256 rng(64);
+  std::map<std::pair<int, int>, std::uint64_t> flows;
+  LinkContention c(&t);
+  for (int a = 0; a < t.nodes(); ++a) {
+    for (int b = 0; b < t.nodes(); ++b) {
+      if (a == b || rng.bounded(3) != 0) continue;
+      const std::uint64_t bytes = 1 + rng.bounded(1u << 20);
+      c.add_flow(a, b, bytes);
+      flows[{a, b}] += bytes;
+    }
+  }
+  c.seal();
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(t.link_count()));
+  std::vector<int> links;
+  for (const auto& [pair, bytes] : flows) {
+    links.clear();
+    t.route_links(pair.first, pair.second, &links);
+    for (const int link : links) load[static_cast<std::size_t>(link)] += bytes;
+  }
+  for (int a = 0; a < t.nodes(); ++a) {
+    for (int b = 0; b < t.nodes(); ++b) {
+      const auto it = flows.find({a, b});
+      std::uint64_t want = 0;
+      if (it != flows.end()) {
+        links.clear();
+        t.route_links(a, b, &links);
+        for (const int link : links) {
+          want = std::max(want,
+                          load[static_cast<std::size_t>(link)] - it->second);
+        }
+      }
+      EXPECT_EQ(c.foreign_bytes(a, b), want) << a << " -> " << b;
+    }
+  }
 }
 
 TEST(CommModel, RemoteLatencyIsExactPerHop) {

@@ -3,7 +3,9 @@
 // execution contract under contention.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,6 +104,38 @@ TEST(SweepPool, FirstConfigErrorWinsDeterministically) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("no-such-app"), std::string::npos);
   }
+}
+
+TEST(SweepPool, ForEachRunsEveryTaskAndRethrowsTheLowestFailure) {
+  constexpr std::size_t kTasks = 37;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::vector<int> ran(kTasks, 0);
+    try {
+      SweepPool(jobs).for_each(kTasks, [&](std::size_t i) {
+        ++ran[i];
+        // Later indices fail first in wall time under jobs > 1: the
+        // rethrown one must still be the lowest index.
+        if (i == 11) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        if (i == 11 || i == 29 || i == 30) {
+          throw Error("task " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "task 11");
+    }
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(ran[i], 1) << "task " << i;
+    }
+  }
+  // No failure: no throw, and n = 0 calls nothing.
+  std::vector<int> ran(5, 0);
+  SweepPool(4).for_each(ran.size(), [&](std::size_t i) { ++ran[i]; });
+  EXPECT_EQ(ran, std::vector<int>(5, 1));
+  SweepPool(4).for_each(0, [](std::size_t) { FAIL() << "no task expected"; });
 }
 
 TEST(Runner, ConcurrentSameConfigPerformsExactlyOneNativeRun) {

@@ -383,6 +383,55 @@ TEST(TraceStore, FaultPlanBypassesTheStoreEntirely) {
   EXPECT_EQ(trace_file_count(dir.path), 1u);
 }
 
+// ----- Runner::predict ------------------------------------------------------
+
+/// predict() is run() minus the trace copy: the same prediction bytes,
+/// verification, check value and power, and an empty job_trace.
+void expect_predict_matches_run(const core::ExperimentResult& predicted,
+                                const core::ExperimentResult& ran) {
+  EXPECT_TRUE(predicted.job_trace.empty());
+  EXPECT_FALSE(ran.job_trace.empty());
+  EXPECT_EQ(trace::to_json(predicted.prediction),
+            trace::to_json(ran.prediction));
+  EXPECT_EQ(predicted.verified, ran.verified);
+  EXPECT_TRUE(same_bits(predicted.check_value, ran.check_value));
+  EXPECT_EQ(predicted.check_description, ran.check_description);
+  EXPECT_TRUE(same_bits(predicted.power.watts, ran.power.watts));
+  EXPECT_TRUE(same_bits(predicted.power.joules, ran.power.joules));
+  EXPECT_TRUE(
+      same_bits(predicted.power.gflops_per_watt, ran.power.gflops_per_watt));
+}
+
+TEST(RunnerPredict, EqualsRunWithoutTheTraceOnEveryTier) {
+  for (const bool collapse : {false, true}) {
+    SCOPED_TRACE(collapse ? "collapsed" : "full");
+    core::ExperimentConfig cfg = make_config("ffvc", apps::Dataset::kSmall, 8);
+    cfg.collapse = collapse;
+    core::Runner reference;
+    const core::ExperimentResult ran = reference.run(cfg);
+    EXPECT_EQ(reference.collapse_classes() > 0, collapse);
+
+    TempDir dir(collapse ? "predict-collapsed" : "predict");
+    core::RunTier tier = core::RunTier::kMemo;
+    core::Runner cold;
+    cold.set_trace_store(std::make_shared<trace::TraceStore>(dir.str()));
+    expect_predict_matches_run(cold.predict(cfg, 0, &tier), ran);
+    EXPECT_EQ(tier, core::RunTier::kNative);
+    expect_predict_matches_run(cold.predict(cfg, 0, &tier), ran);
+    EXPECT_EQ(tier, core::RunTier::kMemo);
+
+    core::Runner warm;
+    warm.set_trace_store(std::make_shared<trace::TraceStore>(dir.str()));
+    tier = core::RunTier::kMemo;
+    expect_predict_matches_run(warm.predict(cfg, 0, &tier), ran);
+    EXPECT_EQ(tier, core::RunTier::kDisk);
+    EXPECT_EQ(warm.native_runs(), 0u);
+
+    // run() on the same warm entry still hands out the trace.
+    expect_results_identical(warm.run(cfg), ran);
+  }
+}
+
 // ----- concurrency ---------------------------------------------------------
 
 TEST(TraceStore, RacingRunnersProduceIdenticalResultsAndNoTornFiles) {

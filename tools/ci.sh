@@ -22,6 +22,10 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
+echo "== perfbench: harness unit tests =="
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench \
+    -p 'test_*.py'
+
 echo "== trace store: cold -> warm replay must be byte-identical =="
 CACHE_DIR="$(mktemp -d)"
 trap 'rm -rf "$CACHE_DIR"' EXIT
