@@ -25,63 +25,54 @@ fault::ErrorClass classify_error(const std::exception_ptr& error) {
 
 std::atomic<int> g_next_job_id{0};
 
-}  // namespace
-
-std::vector<CommLog> Job::run_logged(int ranks, const RankFn& fn,
-                                     const fault::Session* faults) {
-  FS_REQUIRE(ranks >= 1, "job needs at least one rank");
-  FS_REQUIRE(ranks <= 4096, "rank count unreasonably large");
-  FS_REQUIRE(static_cast<bool>(fn), "rank function must be callable");
-
-  detail::JobState state;
-  state.ranks = ranks;
+/// Gives `state` a fresh job id and one mailbox per slot.
+void open_mailboxes(detail::JobState& state, int slots) {
+  state.ranks = slots;
   state.job_id = g_next_job_id.fetch_add(1, std::memory_order_relaxed);
-  state.mailboxes.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
+  state.mailboxes.reserve(static_cast<std::size_t>(slots));
+  for (int s = 0; s < slots; ++s) {
     state.mailboxes.push_back(std::make_unique<Mailbox>());
-    state.mailboxes.back()->set_identity(state.job_id, r);
+    state.mailboxes.back()->set_identity(state.job_id, s);
   }
-  if (faults != nullptr && faults->armed() && faults->plan()->any_mp()) {
-    state.faults = faults;
-    state.send_seq.assign(
-        static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0);
-    state.op_seq.assign(static_cast<std::size_t>(ranks), 0);
-    const double timeout_s = faults->recv_timeout_s();
-    if (timeout_s > 0.0) {
-      for (auto& mbox : state.mailboxes) mbox->set_recv_timeout(timeout_s);
-    }
-  }
+}
 
-  std::vector<CommLog> logs(static_cast<std::size_t>(ranks));
+/// Runs `fn` on one thread per slot of `state` (slot 0 on the caller) under
+/// the Comm that `make_comm(slot)` builds, joins, and returns the per-slot
+/// logs. A slot that throws poisons every mailbox so blocked slots unwind.
+template <typename MakeComm>
+std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
+                               const MakeComm& make_comm) {
+  const auto slots = static_cast<std::size_t>(state.ranks);
+  std::vector<CommLog> logs(slots);
   std::mutex error_mutex;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(ranks));
+  std::vector<std::exception_ptr> errors(slots);
   std::atomic<bool> failed{false};
 
-  auto body = [&](int rank) {
-    Comm comm(state, rank, ranks);
+  auto body = [&](int slot) {
+    Comm comm = make_comm(slot);
     try {
       fn(comm);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(error_mutex);
-        errors[static_cast<std::size_t>(rank)] = std::current_exception();
+        errors[static_cast<std::size_t>(slot)] = std::current_exception();
       }
       failed.store(true, std::memory_order_release);
-      // Unblock every rank waiting in recv.
+      // Unblock every slot waiting in recv.
       for (auto& mbox : state.mailboxes) mbox->poison();
     }
-    logs[static_cast<std::size_t>(rank)] = comm.log();
+    logs[static_cast<std::size_t>(slot)] = comm.log();
   };
 
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(ranks - 1));
-  for (int r = 1; r < ranks; ++r) threads.emplace_back(body, r);
+  threads.reserve(slots - 1);
+  for (int s = 1; s < state.ranks; ++s) threads.emplace_back(body, s);
   body(0);
   for (std::thread& t : threads) t.join();
 
   if (failed.load(std::memory_order_acquire)) {
-    // Deterministic pick: best (lowest) ErrorClass, ties to the lowest rank.
-    // Which *set* of ranks failed can vary run to run (poison cascades race),
+    // Deterministic pick: best (lowest) ErrorClass, ties to the lowest slot.
+    // Which *set* of slots failed can vary run to run (poison cascades race),
     // but the root-cause classes are stable, so the winner's class is too.
     std::exception_ptr best;
     fault::ErrorClass best_class = fault::ErrorClass::kPoison;
@@ -99,6 +90,30 @@ std::vector<CommLog> Job::run_logged(int ranks, const RankFn& fn,
   return logs;
 }
 
+}  // namespace
+
+std::vector<CommLog> Job::run_logged(int ranks, const RankFn& fn,
+                                     const fault::Session* faults) {
+  FS_REQUIRE(ranks >= 1, "job needs at least one rank");
+  FS_REQUIRE(ranks <= 4096, "rank count unreasonably large");
+  FS_REQUIRE(static_cast<bool>(fn), "rank function must be callable");
+
+  detail::JobState state;
+  open_mailboxes(state, ranks);
+  if (faults != nullptr && faults->armed() && faults->plan()->any_mp()) {
+    state.faults = faults;
+    state.send_seq.assign(
+        static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0);
+    state.op_seq.assign(static_cast<std::size_t>(ranks), 0);
+    const double timeout_s = faults->recv_timeout_s();
+    if (timeout_s > 0.0) {
+      for (auto& mbox : state.mailboxes) mbox->set_recv_timeout(timeout_s);
+    }
+  }
+  return run_slots(state, fn,
+                   [&](int rank) { return Comm(state, rank, ranks); });
+}
+
 std::vector<CommLog> Job::run_collapsed(const RankSymmetry& symmetry,
                                         const RankFn& fn) {
   const int slots = symmetry.classes();
@@ -107,59 +122,14 @@ std::vector<CommLog> Job::run_collapsed(const RankSymmetry& symmetry,
   FS_REQUIRE(static_cast<bool>(fn), "rank function must be callable");
 
   detail::JobState state;
-  state.ranks = slots;
-  state.job_id = g_next_job_id.fetch_add(1, std::memory_order_relaxed);
+  open_mailboxes(state, slots);
   state.collapse = &symmetry;
-  state.mailboxes.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    state.mailboxes.push_back(std::make_unique<Mailbox>());
-    state.mailboxes.back()->set_identity(state.job_id, s);
-  }
-
-  std::vector<CommLog> logs(static_cast<std::size_t>(slots));
-  std::mutex error_mutex;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(slots));
-  std::atomic<bool> failed{false};
-
-  auto body = [&](int slot) {
-    // Each slot runs under its class representative's virtual identity; the
-    // app observes rank()/size() of the full job.
-    Comm comm(state, slot, slots, symmetry.representative(slot),
-              symmetry.size());
-    try {
-      fn(comm);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        errors[static_cast<std::size_t>(slot)] = std::current_exception();
-      }
-      failed.store(true, std::memory_order_release);
-      for (auto& mbox : state.mailboxes) mbox->poison();
-    }
-    logs[static_cast<std::size_t>(slot)] = comm.log();
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(slots - 1));
-  for (int s = 1; s < slots; ++s) threads.emplace_back(body, s);
-  body(0);
-  for (std::thread& t : threads) t.join();
-
-  if (failed.load(std::memory_order_acquire)) {
-    std::exception_ptr best;
-    fault::ErrorClass best_class = fault::ErrorClass::kPoison;
-    for (const std::exception_ptr& error : errors) {
-      if (!error) continue;
-      const fault::ErrorClass c = classify_error(error);
-      if (!best || c < best_class) {
-        best = error;
-        best_class = c;
-      }
-    }
-    FS_ASSERT(best, "failed job recorded no rank error");
-    std::rethrow_exception(best);
-  }
-  return logs;
+  // Each slot runs under its class representative's virtual identity; the
+  // app observes rank()/size() of the full job.
+  return run_slots(state, fn, [&](int slot) {
+    return Comm(state, slot, slots, symmetry.representative(slot),
+                symmetry.size());
+  });
 }
 
 std::vector<CommLog> Job::run_logged(int ranks, const RankFn& fn) {

@@ -1,7 +1,9 @@
 #include "rt/thread_team.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -21,42 +23,11 @@ const char* schedule_name(Schedule schedule) {
 ThreadTeam::ThreadTeam(int size) : size_(size) {
   FS_REQUIRE(size >= 1, "team size must be >= 1");
   FS_REQUIRE(size <= 4096, "team size unreasonably large");
-  workers_.reserve(static_cast<std::size_t>(size - 1));
-  for (int tid = 1; tid < size; ++tid) {
-    workers_.emplace_back([this, tid] { worker_loop(tid); });
-  }
-}
-
-ThreadTeam::~ThreadTeam() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadTeam::worker_loop(int tid) {
-  std::uint64_t seen_epoch = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-    }
-    run_region(tid);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--running_ == 0) done_cv_.notify_all();
-    }
-  }
 }
 
 void ThreadTeam::set_faults(const fault::Session* faults,
                             std::uint64_t stream) {
-  FS_REQUIRE(!in_parallel_.load(std::memory_order_acquire),
-             "cannot attach faults while a region is running");
+  FS_REQUIRE(!in_parallel_, "cannot attach faults while a region is running");
   faults_ = faults;
   fault_stream_ = stream;
 }
@@ -66,64 +37,41 @@ void ThreadTeam::maybe_throw_worker(int tid) {
   // regions_ was already bumped for the active region, so it identifies the
   // region uniquely (regions never overlap on one team — nested parallel
   // throws before dispatch).
-  const std::uint64_t region = regions_.load(std::memory_order_relaxed);
-  if (faults_->should_throw_worker(fault_stream_, tid, region)) {
+  if (faults_->should_throw_worker(fault_stream_, tid, regions_)) {
     throw Error(strfmt("%s: worker %d throw in region %llu of stream %llu",
                        fault::kInjectedMarker, tid,
-                       static_cast<unsigned long long>(region),
+                       static_cast<unsigned long long>(regions_),
                        static_cast<unsigned long long>(fault_stream_)));
-  }
-}
-
-void ThreadTeam::run_region(int tid) {
-  try {
-    maybe_throw_worker(tid);
-    region_(tid);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
   }
 }
 
 void ThreadTeam::parallel(const std::function<void(int)>& region) {
   FS_REQUIRE(static_cast<bool>(region), "parallel region must be callable");
-  if (in_parallel_.exchange(true, std::memory_order_acq_rel)) {
-    // A region body re-entered parallel() on its own team. Before this
-    // guard that silently clobbered region_/epoch_/running_ and deadlocked;
-    // fail loudly instead (the nested call's exception is captured by
-    // run_region and rethrown on the caller after the join).
+  if (in_parallel_) {
+    // A region body re-entered parallel() on its own team; the nested
+    // call's exception surfaces from the outer region's tid like any other.
     throw Error("nested parallel region on the same ThreadTeam");
   }
+  in_parallel_ = true;
   struct Reset {
-    std::atomic<bool>& flag;
-    ~Reset() { flag.store(false, std::memory_order_release); }
+    bool& flag;
+    ~Reset() { flag = false; }
   } reset{in_parallel_};
 
-  regions_.fetch_add(1, std::memory_order_relaxed);
-  if (size_ == 1) {
-    maybe_throw_worker(0);
-    region(0);  // no protocol needed, run inline
-    return;
+  ++regions_;
+  // Every tid runs even after one throws, and the lowest tid's error wins —
+  // the same rule as SweepPool::for_each, so a failing region reports the
+  // same root cause on every run.
+  std::exception_ptr first_error;
+  for (int tid = 0; tid < size_; ++tid) {
+    try {
+      maybe_throw_worker(tid);
+      region(tid);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    region_ = region;
-    running_ = size_ - 1;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-  run_region(0);  // the caller is thread 0
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return running_ == 0; });
-    region_ = nullptr;
-  }
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    std::swap(err, first_error_);
-  }
-  if (err) std::rethrow_exception(err);
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ThreadTeam::parallel_for(std::int64_t begin, std::int64_t end,
@@ -170,18 +118,21 @@ void ThreadTeam::parallel_for(std::int64_t begin, std::int64_t end,
     return;
   }
 
+  // Dynamic and guided claims are plain counters: tids run in order, so the
+  // first tid claims every chunk, as a team whose other threads are late to
+  // the loop would in OpenMP.
   const std::int64_t min_chunk =
       chunk > 0 ? chunk : std::max<std::int64_t>(1, range / (size_ * 8));
   if (schedule == Schedule::kDynamic) {
     // Claim chunk indices, not raw offsets: the shared counter tops out at
-    // nchunks + one overshoot per thread, so it cannot wrap however large
-    // the range is.
+    // nchunks + one overshoot per tid, so it cannot wrap however large the
+    // range is.
     const std::int64_t nchunks =
         range / min_chunk + (range % min_chunk != 0 ? 1 : 0);
-    std::atomic<std::int64_t> next_chunk{0};
+    std::int64_t next_chunk = 0;
     parallel([&](int tid) {
       while (true) {
-        const std::int64_t ci = next_chunk.fetch_add(1);
+        const std::int64_t ci = next_chunk++;
         if (ci >= nchunks) break;
         const std::int64_t lo = begin + ci * min_chunk;
         const std::int64_t hi = min_chunk > end - lo ? end : lo + min_chunk;
@@ -189,23 +140,14 @@ void ThreadTeam::parallel_for(std::int64_t begin, std::int64_t end,
       }
     });
   } else {  // kGuided: shrinking chunks, floored at min_chunk.
-    std::atomic<std::int64_t> next{begin};
-    std::mutex grab;
+    std::int64_t next = begin;
     parallel([&](int tid) {
-      while (true) {
-        std::int64_t c_begin = 0;
-        std::int64_t c_end = 0;
-        {
-          std::lock_guard<std::mutex> lock(grab);
-          c_begin = next.load();
-          if (c_begin >= end) break;
-          const std::int64_t remaining = end - c_begin;
-          const std::int64_t size = std::max(
-              min_chunk, remaining / (2 * static_cast<std::int64_t>(size_)));
-          c_end = std::min(end, c_begin + size);
-          next.store(c_end);
-        }
-        body(c_begin, c_end, tid);
+      while (next < end) {
+        const std::int64_t c_begin = next;
+        const std::int64_t size = std::max(
+            min_chunk, (end - c_begin) / (2 * static_cast<std::int64_t>(size_)));
+        next = size > end - c_begin ? end : c_begin + size;
+        body(c_begin, next, tid);
       }
     });
   }
@@ -215,47 +157,16 @@ double ThreadTeam::parallel_reduce_sum(
     std::int64_t begin, std::int64_t end,
     const std::function<double(std::int64_t)>& term) {
   FS_REQUIRE(begin <= end, "parallel_reduce_sum range is inverted");
-  // Pad slots to avoid false sharing on the host.
-  struct alignas(64) Slot { double value = 0.0; };
-  std::vector<Slot> slots(static_cast<std::size_t>(size_));
+  std::vector<double> slots(static_cast<std::size_t>(size_), 0.0);
   parallel_for(begin, end, Schedule::kStatic, 0,
                [&](std::int64_t lo, std::int64_t hi, int tid) {
                  double acc = 0.0;
                  for (std::int64_t i = lo; i < hi; ++i) acc += term(i);
-                 slots[static_cast<std::size_t>(tid)].value += acc;
+                 slots[static_cast<std::size_t>(tid)] += acc;
                });
   double total = 0.0;
-  for (const Slot& s : slots) total += s.value;
+  for (const double slot : slots) total += slot;
   return total;
-}
-
-void ThreadTeam::barrier() {
-  if (size_ == 1) return;
-  const int sense = barrier_sense_.load(std::memory_order_acquire);
-  if (barrier_count_.fetch_add(1, std::memory_order_acq_rel) == size_ - 1) {
-    barrier_count_.store(0, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(barrier_mutex_);
-      barrier_sense_.store(1 - sense, std::memory_order_release);
-    }
-    barrier_cv_.notify_all();
-  } else {
-    // Spin briefly (cheap when the team fits in the host's cores), then
-    // block. Unbounded yield-spinning degrades quadratically once teams are
-    // oversubscribed — exactly the situation parallel sweeps create.
-    static const int kSpins = []() {
-      const unsigned hw = std::thread::hardware_concurrency();
-      return hw > 1 ? 256 : 1;
-    }();
-    for (int spin = 0; spin < kSpins; ++spin) {
-      if (barrier_sense_.load(std::memory_order_acquire) != sense) return;
-      std::this_thread::yield();
-    }
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    barrier_cv_.wait(lock, [&] {
-      return barrier_sense_.load(std::memory_order_acquire) != sense;
-    });
-  }
 }
 
 }  // namespace fibersim::rt

@@ -1,24 +1,22 @@
 // ThreadTeam — the OpenMP-like execution substrate.
 //
-// A team owns `size` persistent worker threads (worker 0 is the calling
-// thread, so a team of 1 adds no threads at all). `parallel` runs a region on
-// every worker and joins; `parallel_for` distributes an index range with
-// static / dynamic / guided scheduling exactly like `omp for schedule(...)`;
-// `barrier` is usable inside a region. All loop state is reset between
-// regions, so a team can be reused for any number of regions.
+// A team has a *logical* size T, the thread count the machine model is fed,
+// and owns no host threads. `parallel` runs a region for tid = 0..T-1 in
+// ascending order on the calling thread (the rank's own host thread);
+// `parallel_for` distributes an index range with static / dynamic / guided
+// scheduling like `omp for schedule(...)`, static partitions keyed by the
+// logical tid. There is no in-region barrier: a team that runs its tids one
+// after another cannot honour one. The trace records work estimates and
+// fork-join counts, never host timing, so a run's bytes do not depend on how
+// many host threads execute a team — only on T.
 //
-// The team executes real work on the host. Thread *placement* is a model
-// concept (topo::Binding) consumed by the machine model, not by this class —
-// on the simulation host we deliberately do not pin threads.
+// Thread *placement* is a model concept (topo::Binding) consumed by the
+// machine model, not by this class. Host parallelism comes from one OS thread
+// per rank (mp::Job) and from concurrent sweep slots (core::SweepPool).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace fibersim::fault {
 class Session;
@@ -36,19 +34,17 @@ class ThreadTeam {
   using ChunkBody = std::function<void(std::int64_t, std::int64_t, int)>;
 
   explicit ThreadTeam(int size);
-  ~ThreadTeam();
 
   ThreadTeam(const ThreadTeam&) = delete;
   ThreadTeam& operator=(const ThreadTeam&) = delete;
 
   int size() const { return size_; }
 
-  /// Run `region(thread_id)` on every thread of the team; returns when all
-  /// threads finish. Exceptions thrown inside a region are captured and the
-  /// first one is rethrown on the caller after the join. Re-entering
-  /// parallel() (or parallel_for / parallel_reduce_sum) from inside a region
-  /// of the same team throws fibersim::Error — nested fork-join on one team
-  /// would corrupt the run protocol and deadlock.
+  /// Run `region(tid)` for every tid of the team, in ascending order on the
+  /// caller's thread. Every tid runs even when an earlier one throws; the
+  /// lowest tid's exception is rethrown afterwards. Re-entering parallel()
+  /// (or parallel_for / parallel_reduce_sum) from inside a region of the
+  /// same team throws fibersim::Error — OpenMP nesting is not modelled.
   void parallel(const std::function<void(int)>& region);
 
   /// Work-shared loop over [begin, end). `chunk` <= 0 picks a default
@@ -61,21 +57,17 @@ class ThreadTeam {
     parallel_for(begin, end, Schedule::kStatic, 0, body);
   }
 
-  /// Sum-reduction over [begin, end): each thread accumulates into a private
-  /// slot via `body(i, acc)`; slots are combined after the join.
+  /// Sum-reduction over [begin, end): each tid sums `term(i)` over its static
+  /// block into a private slot; slots are combined in tid order afterwards.
   double parallel_reduce_sum(
       std::int64_t begin, std::int64_t end,
       const std::function<double(std::int64_t)>& term);
 
-  /// Barrier usable inside a region (sense-reversing, all team threads must
-  /// call it the same number of times).
-  void barrier();
-
   /// Number of parallel regions executed so far (model input: fork-join
   /// count drives the predicted barrier overhead).
-  std::uint64_t regions_executed() const { return regions_.load(); }
+  std::uint64_t regions_executed() const { return regions_; }
 
-  /// Attach a fault context: workers of this team may throw at region entry
+  /// Attach a fault context: each tid of this team may throw at region entry
   /// per the plan, at site (stream, tid, region index) — `stream` is the
   /// team's owner identity (typically its rank), so decisions stay
   /// deterministic across concurrent teams. Null detaches. Must not be
@@ -83,38 +75,13 @@ class ThreadTeam {
   void set_faults(const fault::Session* faults, std::uint64_t stream);
 
  private:
-  void worker_loop(int tid);
-  void run_region(int tid);
   /// Fault hook at region entry (one null check when no faults attached).
   void maybe_throw_worker(int tid);
 
   int size_;
-  std::vector<std::thread> workers_;
-
-  // Fork-join protocol: epoch-count run signalling.
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t epoch_ = 0;
-  int running_ = 0;
-  bool shutdown_ = false;
-  std::function<void(int)> region_;
-
-  // In-region barrier (sense reversing; brief spin, then condvar block —
-  // see barrier() for why unbounded spinning is ruinous when oversubscribed).
-  std::atomic<int> barrier_count_{0};
-  std::atomic<int> barrier_sense_{0};
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-
   // Nested-parallel detection (see parallel()).
-  std::atomic<bool> in_parallel_{false};
-
-  // Exception transport.
-  std::mutex error_mutex_;
-  std::exception_ptr first_error_;
-
-  std::atomic<std::uint64_t> regions_{0};
+  bool in_parallel_ = false;
+  std::uint64_t regions_ = 0;
 
   // Fault injection (null when inactive).
   const fault::Session* faults_ = nullptr;

@@ -67,10 +67,10 @@ constexpr int kIterations = 1;
 constexpr std::uint64_t kSeed = 42;
 
 trace::JobTrace run_full(const std::string& name, apps::Dataset dataset,
-                         int ranks = kRanks) {
+                         int ranks = kRanks, int threads = kThreads) {
   trace::JobTrace trace(static_cast<std::size_t>(ranks));
   mp::Job::run(ranks, [&](mp::Comm& comm) {
-    rt::ThreadTeam team(kThreads);
+    rt::ThreadTeam team(threads);
     trace::Recorder rec(&comm);
     apps::RunContext ctx;
     ctx.comm = &comm;
@@ -88,14 +88,15 @@ trace::JobTrace run_full(const std::string& name, apps::Dataset dataset,
 
 trace::CollapsedTrace run_collapsed(const std::string& name,
                                     apps::Dataset dataset,
-                                    int ranks = kRanks) {
+                                    int ranks = kRanks,
+                                    int threads = kThreads) {
   const mp::CollapseSpec spec =
       apps::create_miniapp(name)->collapse_spec(dataset, /*weak_scale=*/1);
   EXPECT_TRUE(spec.collapsible()) << name << " declares no collapse spec";
   mp::RankSymmetry symmetry = mp::RankSymmetry::build(spec, ranks);
   trace::JobTrace reps(static_cast<std::size_t>(symmetry.classes()));
   mp::Job::run_collapsed(symmetry, [&](mp::Comm& comm) {
-    rt::ThreadTeam team(kThreads);
+    rt::ThreadTeam team(threads);
     trace::Recorder rec(&comm);
     apps::RunContext ctx;
     ctx.comm = &comm;
@@ -112,10 +113,11 @@ trace::CollapsedTrace run_collapsed(const std::string& name,
   return trace::CollapsedTrace::assemble(std::move(symmetry), reps);
 }
 
-/// One 3-path comparison: an app/dataset recorded at kRanks x kThreads,
+/// One 3-path comparison: an app/dataset recorded at ranks x threads,
 /// predicted on `processor` under `compile`, placed on `nodes` nodes. The
-/// defaults are the single-node a64fx/simd_sched/block/compact point every
-/// app and dataset is pinned at; seeded cases vary the rest.
+/// defaults are the single-node kRanks x kThreads a64fx/simd_sched/block/
+/// compact point every app and dataset is pinned at; seeded cases vary the
+/// rest.
 struct CollapseCase {
   std::string app;
   apps::Dataset dataset;
@@ -125,6 +127,8 @@ struct CollapseCase {
   topo::RankAllocPolicy alloc = topo::RankAllocPolicy::kBlock;
   topo::ThreadBindPolicy bind = topo::ThreadBindPolicy::compact();
   int nodes = 1;
+  int ranks = kRanks;
+  int threads = kThreads;
 };
 
 void PrintTo(const CollapseCase& c, std::ostream* os) {
@@ -177,7 +181,23 @@ std::vector<CollapseCase> all_cases() {
                              : topo::RankAllocPolicy::kBlock;
     c.bind = rng.bounded(2) ? topo::ThreadBindPolicy::scatter()
                             : topo::ThreadBindPolicy::compact();
-    c.nodes = 2 << rng.bounded(3);  // 2, 4 or 8: kRanks divides evenly
+    c.nodes = 2 << rng.bounded(3);  // 2, 4 or 8: every rank count divides
+    c.ranks = pick(rng, std::vector<int>{8, 16, 32});
+    // A non-periodic 2x2x2 grid keeps all 8 ranks distinct; every app
+    // collapses from 16 ranks (see kRanks).
+    const mp::CollapseSpec spec =
+        apps::create_miniapp(c.app)->collapse_spec(c.dataset, 1);
+    if (mp::RankSymmetry::build(spec, c.ranks).classes() == c.ranks) {
+      c.ranks *= 2;
+    }
+    std::vector<int> fits;
+    for (const int t : {1, 2, 4, 12}) {
+      if (c.ranks / c.nodes * t <= c.processor.shape.cores_per_node()) {
+        fits.push_back(t);
+      }
+    }
+    c.threads = pick(rng, fits);
+    c.label += std::to_string(c.ranks) + "x" + std::to_string(c.threads) + "_";
     cases.push_back(std::move(c));
   }
   return cases;
@@ -189,11 +209,12 @@ class CollapseByteIdentity : public ::testing::TestWithParam<CollapseCase> {};
 // run records, bit for bit, for every rank and phase.
 TEST_P(CollapseByteIdentity, ExpandEqualsFullRun) {
   const CollapseCase c = GetParam();
-  const trace::JobTrace full = run_full(c.app, c.dataset);
-  const trace::CollapsedTrace collapsed = run_collapsed(c.app, c.dataset);
+  const trace::JobTrace full = run_full(c.app, c.dataset, c.ranks, c.threads);
+  const trace::CollapsedTrace collapsed =
+      run_collapsed(c.app, c.dataset, c.ranks, c.threads);
   EXPECT_GT(collapsed.native_ranks(), 0);
-  EXPECT_LT(collapsed.native_ranks(), kRanks)
-      << c.app << " collapse saved nothing at " << kRanks << " ranks";
+  EXPECT_LT(collapsed.native_ranks(), c.ranks)
+      << c.app << " collapse saved nothing at " << c.ranks << " ranks";
   const trace::JobTrace expanded = collapsed.expand();
   ASSERT_EQ(expanded.size(), full.size());
   for (std::size_t r = 0; r < full.size(); ++r) {
@@ -209,14 +230,15 @@ TEST_P(CollapseByteIdentity, ExpandEqualsFullRun) {
 // still produce bit-identical numbers to the naive and canonical paths.
 TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
   const CollapseCase c = GetParam();
-  const trace::JobTrace full = run_full(c.app, c.dataset);
-  const trace::CollapsedTrace collapsed = run_collapsed(c.app, c.dataset);
+  const trace::JobTrace full = run_full(c.app, c.dataset, c.ranks, c.threads);
+  const trace::CollapsedTrace collapsed =
+      run_collapsed(c.app, c.dataset, c.ranks, c.threads);
 
   const machine::ProcessorConfig& cfg = c.processor;
   const cg::CompileOptions& opts = c.compile;
   const topo::Topology topo(cfg.shape, c.nodes);
   const topo::Binding binding =
-      topo::Binding::make(topo, kRanks, kThreads, c.alloc, c.bind);
+      topo::Binding::make(topo, c.ranks, c.threads, c.alloc, c.bind);
   if (c.nodes > 1) {
     ASSERT_EQ(binding.job_span(), topo::Distance::kRemoteNode);
     // An app with point-to-point traffic must send across nodes here, or

@@ -5,9 +5,13 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/runner.hpp"
+#include "fault/fault.hpp"
 #include "rt/thread_team.hpp"
 
 namespace fibersim::rt {
@@ -57,30 +61,63 @@ TEST(Team, RejectsBadSizes) {
   EXPECT_THROW(ThreadTeam(-2), Error);
 }
 
-TEST(Team, BarrierSynchronisesPhases) {
-  ThreadTeam team(4);
-  std::vector<int> stage_a(4, 0);
-  std::atomic<int> violations{0};
+TEST(Team, RunsTidsInAscendingOrderOnTheCallersThread) {
+  ThreadTeam team(12);
+  std::vector<int> order;
+  std::vector<std::thread::id> hosts;
   team.parallel([&](int tid) {
-    stage_a[static_cast<std::size_t>(tid)] = 1;
-    team.barrier();
-    for (int v : stage_a) {
-      if (v != 1) violations.fetch_add(1);
-    }
+    order.push_back(tid);
+    hosts.push_back(std::this_thread::get_id());
   });
-  EXPECT_EQ(violations.load(), 0);
+  std::vector<int> want(12);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(order, want);
+  for (const std::thread::id host : hosts) {
+    EXPECT_EQ(host, std::this_thread::get_id());
+  }
 }
 
-TEST(Team, BarrierReusableManyTimes) {
-  ThreadTeam team(3);
-  std::atomic<int> counter{0};
-  team.parallel([&](int) {
-    for (int i = 0; i < 20; ++i) {
-      counter.fetch_add(1);
-      team.barrier();
+TEST(Team, EveryTidRunsAndTheLowestTidsErrorWins) {
+  ThreadTeam team(5);
+  std::vector<int> ran;
+  try {
+    team.parallel([&](int tid) {
+      ran.push_back(tid);
+      if (tid == 3) throw Error("tid 3 failed");
+      if (tid == 1) throw Error("tid 1 failed");
+    });
+    FAIL() << "region errors must be rethrown";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "tid 1 failed");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Team, InjectedWorkerFaultReportsTheSameErrorEveryRun) {
+  // rt.throw=1 fails every tid of every rank's first region. mvmc enters
+  // that region before any message, so each rank reaches it and the job
+  // keeps rank 0's error; within the rank the lowest tid's error wins.
+  fault::ScopedPlan scoped(fault::Plan::parse("rt.throw=1"));
+  core::ExperimentConfig cfg;
+  cfg.app = "mvmc";
+  cfg.dataset = apps::Dataset::kSmall;
+  cfg.ranks = 4;
+  cfg.threads = 12;
+  cfg.iterations = 1;
+  std::set<std::string> messages;
+  for (int run = 0; run < 8; ++run) {
+    core::Runner runner;
+    try {
+      (void)runner.run(cfg);
+      ADD_FAILURE() << "an injected worker fault must fail the run";
+    } catch (const Error& e) {
+      messages.insert(e.what());
     }
-  });
-  EXPECT_EQ(counter.load(), 60);
+  }
+  ASSERT_EQ(messages.size(), 1u);
+  EXPECT_NE(messages.begin()->find("worker 0 throw in region 1 of stream 0"),
+            std::string::npos)
+      << *messages.begin();
 }
 
 // ----- parallel_for coverage: every index exactly once, any schedule -----

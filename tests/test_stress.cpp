@@ -21,7 +21,8 @@ TEST(Stress, FortyEightRankAllreduceStorm) {
 }
 
 TEST(Stress, ManyRanksTimesManyThreads) {
-  // 8 ranks, each forking a 6-thread team repeatedly: 48 live threads.
+  // 8 rank threads, each running a 6-thread logical team repeatedly: 48
+  // logical threads on 8 host threads.
   mp::Job::run(8, [](mp::Comm& comm) {
     rt::ThreadTeam team(6);
     double local = 0.0;

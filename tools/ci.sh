@@ -26,6 +26,22 @@ echo "== perfbench: harness unit tests =="
 PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench \
     -p 'test_*.py'
 
+echo "== perfbench: every workload once against the committed digests =="
+# perfbench/digests.json pins the bytes of every report, tune artifact and
+# serve payload the workloads produce, so this is the gate that compares
+# native-run output with the commit that recorded the digests. A 1-second
+# run still makes every workload's passes once.
+PERFBENCH_LAST="$(PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py \
+    --workload all --seconds 1 --trace 0 | tail -n 1)"
+printf '%s\n' "$PERFBENCH_LAST" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' || {
+  echo "perfbench: a workload failed or moved its digest: $PERFBENCH_LAST" >&2
+  exit 1
+}
+
 echo "== trace store: cold -> warm replay must be byte-identical =="
 CACHE_DIR="$(mktemp -d)"
 trap 'rm -rf "$CACHE_DIR"' EXIT
