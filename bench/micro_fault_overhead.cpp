@@ -19,10 +19,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -57,6 +57,10 @@ struct PathResult {
 
 double overhead(const PathResult& r) {
   return r.off_s > 0.0 ? r.armed_s / r.off_s - 1.0 : 0.0;
+}
+
+double off_ops_per_s(const PathResult& r) {
+  return r.off_s > 0.0 ? r.ops / r.off_s : 0.0;
 }
 
 }  // namespace
@@ -177,16 +181,26 @@ int main(int argc, char** argv) {
   }
 
   // Stdout summary goes through the shared report emitter (same renderer as
-  // the experiment registry); the JSON artifact below stays hand-rolled.
+  // the experiment registry); the JSON artifact gets the same rows.
   ReportArtifact artifact;
   artifact.id = "micro_fault_overhead";
   TextTable table({"path", "off s", "off ops/s", "armed s", "overhead"});
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object().field("repeats", repeats);
   const auto report = [&](const char* name, const PathResult& r) {
-    table.add_row({name, strfmt("%g", r.off_s), strfmt("%g", r.ops / r.off_s),
+    table.add_row({name, strfmt("%g", r.off_s), strfmt("%g", off_ops_per_s(r)),
                    strfmt("%g", r.armed_s),
                    strfmt("%g%%", overhead(r) * 100.0)});
     artifact.metrics.push_back(
         {std::string(name) + "_armed_overhead", overhead(r), "fraction"});
+    json.key(name)
+        .begin_object()
+        .field("ops", r.ops)
+        .field("off_seconds", r.off_s)
+        .field("off_ops_per_s", off_ops_per_s(r))
+        .field("armed_seconds", r.armed_s)
+        .field("armed_overhead", overhead(r))
+        .end_object();
   };
   report("mp", mp_result);
   report("rt", rt_result);
@@ -197,27 +211,9 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  const auto emit = [&json](const char* name, const PathResult& r,
-                            bool last) {
-    json << "  \"" << name << "\": {\n"
-         << "    \"ops\": " << r.ops << ",\n"
-         << "    \"off_seconds\": " << r.off_s << ",\n"
-         << "    \"off_ops_per_s\": " << r.ops / r.off_s << ",\n"
-         << "    \"armed_seconds\": " << r.armed_s << ",\n"
-         << "    \"armed_overhead\": " << overhead(r) << "\n"
-         << "  }" << (last ? "\n" : ",\n");
-  };
-  json << "{\n"
-       << "  \"repeats\": " << repeats << ",\n";
-  emit("mp", mp_result, false);
-  emit("rt", rt_result, false);
-  emit("runner", runner_result, true);
-  json << "}\n";
-
+  json.end_object();
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

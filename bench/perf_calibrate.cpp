@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -153,41 +153,40 @@ int main(int argc, char** argv) {
   verdict.metrics.push_back({"dram_ratio", dram_ratio, ""});
   emit_report(verdict, framed, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"bench\": \"calibrate\",\n"
-       << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-       << "  \"seed\": " << opt.seed << ",\n"
-       << "  \"trials\": " << opt.trials << ",\n"
-       << "  \"measure_seconds\": " << measure_s << ",\n"
-       << "  \"host\": {\n"
-       << "    \"freq_hz\": " << host.freq_hz << ",\n"
-       << "    \"l1_bw\": " << host.l1_bw << ",\n"
-       << "    \"l2_bw\": " << host.l2_bw << ",\n"
-       << "    \"dram_bw\": " << host.dram_bw << ",\n"
-       << "    \"fma_flops\": " << host.fma_flops << ",\n"
-       << "    \"numa_remote_penalty\": " << host.numa_remote_penalty << ",\n"
-       << "    \"barrier_ns\": " << host.barrier_ns << ",\n"
-       << "    \"threads\": " << host.threads << ",\n"
-       << "    \"numa_domains\": " << host.numa_domains << "\n"
-       << "  },\n"
-       << "  \"synthetic\": {\n"
-       << "    \"freq_ratio\": " << freq_ratio << ",\n"
-       << "    \"dram_ratio\": " << dram_ratio << ",\n"
-       << "    \"peak_ratio\": " << peak_ratio << "\n"
-       << "  },\n"
-       << "  \"fit_deterministic\": " << (fit_deterministic ? "true" : "false")
-       << ",\n"
-       << "  \"synthetic_deterministic\": "
-       << (synthetic_deterministic ? "true" : "false") << ",\n"
-       << "  \"round_trip\": " << (round_trip ? "true" : "false") << ",\n"
-       << "  \"fidelity_ok\": " << (fidelity_ok ? "true" : "false") << ",\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .field("bench", "calibrate")
+      .field("quick", opt.quick)
+      .field("seed", opt.seed)
+      .field("trials", opt.trials)
+      .field("measure_seconds", measure_s)
+      .key("host")
+      .begin_object()
+      .field("freq_hz", host.freq_hz)
+      .field("l1_bw", host.l1_bw)
+      .field("l2_bw", host.l2_bw)
+      .field("dram_bw", host.dram_bw)
+      .field("fma_flops", host.fma_flops)
+      .field("numa_remote_penalty", host.numa_remote_penalty)
+      .field("barrier_ns", host.barrier_ns)
+      .field("threads", host.threads)
+      .field("numa_domains", host.numa_domains)
+      .end_object()
+      .key("synthetic")
+      .begin_object()
+      .field("freq_ratio", freq_ratio)
+      .field("dram_ratio", dram_ratio)
+      .field("peak_ratio", peak_ratio)
+      .end_object()
+      .field("fit_deterministic", fit_deterministic)
+      .field("synthetic_deterministic", synthetic_deterministic)
+      .field("round_trip", round_trip)
+      .field("fidelity_ok", fidelity_ok)
+      .field("ok", ok)
+      .end_object();
 
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

@@ -18,11 +18,11 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cg/codegen_cache.hpp"
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
                      : 0.0;
 
   // Stdout summary goes through the shared report emitter (same renderer as
-  // the experiment registry); the JSON artifact below stays hand-rolled.
+  // the experiment registry).
   ReportArtifact artifact;
   artifact.id = "perf_predict";
   TextTable table({"quantity", "value"});
@@ -245,39 +245,40 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"app\": \"" << app << "\",\n"
-       << "  \"dataset\": \"" << apps::dataset_name(dataset) << "\",\n"
-       << "  \"ranks\": " << ranks << ",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"configs\": " << points.size() << ",\n"
-       << "  \"phases\": " << canonical.phase_count() << ",\n"
-       << "  \"classes\": " << canonical.class_count() << ",\n"
-       << "  \"bit_identical\": true,\n"
-       << "  \"naive\": {\n"
-       << "    \"seconds_per_pass\": " << naive_s << ",\n"
-       << "    \"codegen_evals\": " << naive_codegen_per_pass << ",\n"
-       << "    \"exec_evals\": " << naive_exec_per_pass << "\n"
-       << "  },\n"
-       << "  \"memoized\": {\n"
-       << "    \"seconds_per_pass\": " << memo_s << ",\n"
-       << "    \"canonicalize_seconds\": " << canonicalize_s << ",\n"
-       << "    \"codegen_evals\": " << codegen_evals << ",\n"
-       << "    \"codegen_lookups\": " << codegen_cache.lookups() << ",\n"
-       << "    \"codegen_hits\": " << codegen_cache.hits() << ",\n"
-       << "    \"exec_evals\": " << exec_evals << ",\n"
-       << "    \"exec_lookups\": " << eval_cache.lookups() << ",\n"
-       << "    \"exec_hits\": " << eval_cache.hits() << "\n"
-       << "  },\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"codegen_eval_reduction\": " << codegen_ratio << ",\n"
-       << "  \"exec_eval_reduction\": " << exec_ratio << "\n"
-       << "}\n";
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .field("app", app)
+      .field("dataset", apps::dataset_name(dataset))
+      .field("ranks", ranks)
+      .field("threads", threads)
+      .field("configs", points.size())
+      .field("phases", canonical.phase_count())
+      .field("classes", canonical.class_count())
+      .field("bit_identical", true)
+      .key("naive")
+      .begin_object()
+      .field("seconds_per_pass", naive_s)
+      .field("codegen_evals", naive_codegen_per_pass)
+      .field("exec_evals", naive_exec_per_pass)
+      .end_object()
+      .key("memoized")
+      .begin_object()
+      .field("seconds_per_pass", memo_s)
+      .field("canonicalize_seconds", canonicalize_s)
+      .field("codegen_evals", codegen_evals)
+      .field("codegen_lookups", codegen_cache.lookups())
+      .field("codegen_hits", codegen_cache.hits())
+      .field("exec_evals", exec_evals)
+      .field("exec_lookups", eval_cache.lookups())
+      .field("exec_hits", eval_cache.hits())
+      .end_object()
+      .field("speedup", speedup)
+      .field("codegen_eval_reduction", codegen_ratio)
+      .field("exec_eval_reduction", exec_ratio)
+      .end_object();
 
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

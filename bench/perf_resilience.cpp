@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
@@ -64,11 +65,19 @@ struct Target {
 const std::vector<Target> kTargets = {
     {"ffvc", 2, 2}, {"ffvc", 4, 2}, {"ffb", 2, 2}, {"ffb", 4, 2}};
 
-std::string predict_line(const Target& t, const std::string& id) {
-  return strfmt("{\"verb\":\"predict\",\"id\":\"%s\",\"app\":\"%s\","
-                "\"dataset\":\"small\",\"ranks\":%d,\"threads\":%d,"
-                "\"iterations\":1}",
-                id.c_str(), t.app.c_str(), t.ranks, t.threads);
+std::string predict_line(const Target& t, const std::string& id,
+                         int deadline_ms = 0) {
+  json::Writer w;
+  w.begin_object()
+      .field("verb", "predict")
+      .field("id", id)
+      .field("app", t.app)
+      .field("dataset", "small")
+      .field("ranks", t.ranks)
+      .field("threads", t.threads)
+      .field("iterations", 1);
+  if (deadline_ms > 0) w.field("deadline_ms", deadline_ms);
+  return std::move(w.end_object()).take();
 }
 
 core::ExperimentConfig config_of(const Target& t) {
@@ -317,10 +326,17 @@ int main(int argc, char** argv) {
     // each must shed as typed DEADLINE, either still queued or at the first
     // phase-boundary checkpoint.
     for (int i = 0; i < 6; ++i) {
-      const std::string r = client.request(strfmt(
-          "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"large\","
-          "\"ranks\":8,\"threads\":4,\"seed\":%d,\"deadline_ms\":1}",
-          7100 + i));
+      json::Writer line;
+      line.begin_object()
+          .field("verb", "predict")
+          .field("app", "ffvc")
+          .field("dataset", "large")
+          .field("ranks", 8)
+          .field("threads", 4)
+          .field("seed", 7100 + i)
+          .field("deadline_ms", 1)
+          .end_object();
+      const std::string r = client.request(std::move(line).take());
       ++deadline_tight_total;
       if (has_code(r, core::kCodeDeadline)) {
         ++deadline_tight_missed;
@@ -330,9 +346,8 @@ int main(int argc, char** argv) {
     }
     // Generous: 30 s deadlines must never shed.
     for (std::size_t t = 0; t < kTargets.size(); ++t) {
-      std::string line = predict_line(kTargets[t], strfmt("dl%zu", t));
-      line.insert(line.size() - 1, ",\"deadline_ms\":30000");
-      const std::string r = client.request(line);
+      const std::string r = client.request(
+          predict_line(kTargets[t], strfmt("dl%zu", t), 30000));
       ++deadline_generous_total;
       if (r.find("\"ok\":true") == std::string::npos) {
         ++deadline_generous_missed;
@@ -630,55 +645,52 @@ int main(int argc, char** argv) {
       kills_done, soak_acked, recovery_mean_s * 1e3, recovery_max_s * 1e3,
       zero_loss ? "yes" : "NO", soak_byte_identical ? "yes" : "NO");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"deadline\": {\n"
-       << "    \"tight_total\": " << deadline_tight_total << ",\n"
-       << "    \"tight_missed\": " << deadline_tight_missed << ",\n"
-       << "    \"tight_miss_rate\": "
-       << (deadline_tight_total > 0
-               ? static_cast<double>(deadline_tight_missed) /
-                     static_cast<double>(deadline_tight_total)
-               : 0.0)
-       << ",\n"
-       << "    \"generous_total\": " << deadline_generous_total << ",\n"
-       << "    \"generous_missed\": " << deadline_generous_missed << "\n"
-       << "  },\n"
-       << "  \"wedge\": {\n"
-       << "    \"typed_timeout\": "
-       << (wedge_typed_timeout ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"circuit\": {\n"
-       << "    \"trips\": " << circuit_trips << ",\n"
-       << "    \"half_opens\": " << circuit_half_opens << ",\n"
-       << "    \"fast_rejections\": " << circuit_rejections << ",\n"
-       << "    \"recovered\": " << (circuit_recovered ? "true" : "false")
-       << "\n"
-       << "  },\n"
-       << "  \"soak\": {\n"
-       << "    \"kills\": " << kills_done << ",\n"
-       << "    \"acked_responses\": " << soak_acked << ",\n"
-       << "    \"terminal_errors\": " << soak_terminal_errors << ",\n"
-       << "    \"recovery_mean_ms\": " << recovery_mean_s * 1e3 << ",\n"
-       << "    \"recovery_max_ms\": " << recovery_max_s * 1e3 << ",\n"
-       << "    \"supervisor_clean_exit\": "
-       << (supervisor_clean_exit ? "true" : "false") << ",\n"
-       << "    \"journal_newline_clean\": "
-       << (journal_newline_clean ? "true" : "false") << ",\n"
-       << "    \"zero_loss\": " << (zero_loss ? "true" : "false") << ",\n"
-       << "    \"byte_identical\": "
-       << (soak_byte_identical ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .key("deadline")
+      .begin_object()
+      .field("tight_total", deadline_tight_total)
+      .field("tight_missed", deadline_tight_missed)
+      .field("tight_miss_rate",
+             deadline_tight_total > 0
+                 ? static_cast<double>(deadline_tight_missed) /
+                       static_cast<double>(deadline_tight_total)
+                 : 0.0)
+      .field("generous_total", deadline_generous_total)
+      .field("generous_missed", deadline_generous_missed)
+      .end_object()
+      .key("wedge")
+      .begin_object()
+      .field("typed_timeout", wedge_typed_timeout)
+      .end_object()
+      .key("circuit")
+      .begin_object()
+      .field("trips", circuit_trips)
+      .field("half_opens", circuit_half_opens)
+      .field("fast_rejections", circuit_rejections)
+      .field("recovered", circuit_recovered)
+      .end_object()
+      .key("soak")
+      .begin_object()
+      .field("kills", kills_done)
+      .field("acked_responses", soak_acked)
+      .field("terminal_errors", soak_terminal_errors)
+      .field("recovery_mean_ms", recovery_mean_s * 1e3)
+      .field("recovery_max_ms", recovery_max_s * 1e3)
+      .field("supervisor_clean_exit", supervisor_clean_exit)
+      .field("journal_newline_clean", journal_newline_clean)
+      .field("zero_loss", zero_loss)
+      .field("byte_identical", soak_byte_identical)
+      .end_object()
+      .field("ok", ok)
+      .end_object();
 
   if (own_work_root) {
     std::error_code ec;
     fs::remove_all(work_root, ec);
   }
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

@@ -28,10 +28,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -268,37 +268,37 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"app\": \"" << app << "\",\n"
-       << "  \"ranks_per_node\": " << kRanksPerNode << ",\n"
-       << "  \"threads\": " << kThreads << ",\n"
-       << "  \"samples\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    json << "    {\"nodes\": " << s.nodes << ", \"ranks\": " << s.ranks
-         << ", \"full_s\": " << s.full_s
-         << ", \"collapsed_s\": " << s.collapsed_s
-         << ", \"classes\": " << s.classes
-         << ", \"native_ranks\": " << s.native_ranks
-         << ", \"byte_identical\": " << (s.bits_equal ? "true" : "false")
-         << ", \"native_equals_classes\": "
-         << (s.invariant_ok ? "true" : "false") << "}"
-         << (i + 1 < samples.size() ? "," : "") << "\n";
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .field("app", app)
+      .field("ranks_per_node", kRanksPerNode)
+      .field("threads", kThreads)
+      .key("samples")
+      .begin_array();
+  for (const Sample& s : samples) {
+    json.begin_object(/*one_line=*/true)
+        .field("nodes", s.nodes)
+        .field("ranks", s.ranks)
+        .field("full_s", s.full_s)
+        .field("collapsed_s", s.collapsed_s)
+        .field("classes", s.classes)
+        .field("native_ranks", s.native_ranks)
+        .field("byte_identical", s.bits_equal)
+        .field("native_equals_classes", s.invariant_ok)
+        .end_object();
   }
-  json << "  ],\n"
-       << "  \"peak_ranks\": " << peak.ranks << ",\n"
-       << "  \"trend_full_s\": " << trend_full_s << ",\n"
-       << "  \"peak_collapsed_s\": " << peak.collapsed_s << ",\n"
-       << "  \"trend_speedup\": " << trend_speedup << ",\n"
-       << "  \"trend_speedup_ok\": " << (trend_ok ? "true" : "false") << ",\n"
-       << "  \"store_cold_s\": " << cold_s << ",\n"
-       << "  \"store_warm_s\": " << warm_s << ",\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  json.end_array()
+      .field("peak_ranks", peak.ranks)
+      .field("trend_full_s", trend_full_s)
+      .field("peak_collapsed_s", peak.collapsed_s)
+      .field("trend_speedup", trend_speedup)
+      .field("trend_speedup_ok", trend_ok)
+      .field("store_cold_s", cold_s)
+      .field("store_warm_s", warm_s)
+      .field("ok", ok)
+      .end_object();
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   std::cout << "\nwrote " << out_path << "\n";
 
   return ok ? 0 : 1;

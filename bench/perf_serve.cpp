@@ -35,11 +35,11 @@
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/stats.hpp"
@@ -67,10 +67,33 @@ const std::vector<Target> kTargets = {
     {"ffvc", 2, 2}, {"ffvc", 4, 2}, {"ffb", 2, 2}, {"ffb", 4, 2}};
 
 std::string predict_line(const Target& t, const std::string& id) {
-  return strfmt("{\"verb\":\"predict\",\"id\":\"%s\",\"app\":\"%s\","
-                "\"dataset\":\"small\",\"ranks\":%d,\"threads\":%d,"
-                "\"iterations\":1}",
-                id.c_str(), t.app.c_str(), t.ranks, t.threads);
+  json::Writer w;
+  w.begin_object()
+      .field("verb", "predict")
+      .field("id", id)
+      .field("app", t.app)
+      .field("dataset", "small")
+      .field("ranks", t.ranks)
+      .field("threads", t.threads)
+      .field("iterations", 1)
+      .end_object();
+  return std::move(w).take();
+}
+
+/// A predict request for ffvc small 2x2 under `seed` (distinct seeds are
+/// distinct execution keys).
+std::string seeded_line(int seed) {
+  json::Writer w;
+  w.begin_object()
+      .field("verb", "predict")
+      .field("app", "ffvc")
+      .field("dataset", "small")
+      .field("ranks", 2)
+      .field("threads", 2)
+      .field("iterations", 1)
+      .field("seed", seed)
+      .end_object();
+  return std::move(w).take();
 }
 
 core::ExperimentConfig config_of(const Target& t) {
@@ -369,10 +392,7 @@ int main(int argc, char** argv) {
       // Distinct seeds -> distinct execution keys -> every admitted request
       // is a real native run, keeping the single worker busy while the
       // reader floods the queue.
-      client.send_line(strfmt(
-          "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"small\","
-          "\"ranks\":2,\"threads\":2,\"iterations\":1,\"seed\":%d}",
-          9000 + i));
+      client.send_line(seeded_line(9000 + i));
     }
     client.shutdown_write();
     for (int i = 0; i < burst; ++i) {
@@ -414,9 +434,7 @@ int main(int argc, char** argv) {
     plan.run_fail = 1;  // first native-run attempt of every key fails
     const fault::ScopedPlan scoped(plan);
     core::ServeClient client(socket_path);
-    const std::string line =
-        "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"small\","
-        "\"ranks\":2,\"threads\":2,\"iterations\":1,\"seed\":31337}";
+    const std::string line = seeded_line(31337);
     const std::string first = client.request(line);
     chaos_failed_typed =
         first.find("\"code\":\"FAILED\"") != std::string::npos &&
@@ -495,57 +513,54 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"requests_per_client\": " << requests << ",\n"
-       << "  \"unique_execution_keys\": " << kTargets.size() << ",\n"
-       << "  \"byte_identical\": " << (ok ? "true" : "false") << ",\n"
-       << "  \"legs\": [\n";
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    const Leg& leg = legs[i];
-    json << "    {\n"
-         << "      \"clients\": " << leg.clients << ",\n";
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .field("requests_per_client", requests)
+      .field("unique_execution_keys", kTargets.size())
+      .field("byte_identical", ok)
+      .key("legs")
+      .begin_array();
+  for (const Leg& leg : legs) {
+    json.begin_object().field("clients", leg.clients);
     for (const bool warm : {false, true}) {
       const PassStats& pass = warm ? leg.warm : leg.cold;
       const core::ServeStats& server = warm ? leg.warm_server : leg.cold_server;
-      const char* tag = warm ? "warm" : "cold";
-      json << "      \"" << tag << "\": {\n"
-           << "        \"seconds\": " << pass.seconds << ",\n"
-           << "        \"requests\": " << pass.requests << ",\n"
-           << "        \"throughput_rps\": "
-           << (pass.seconds > 0.0 ? pass.requests / pass.seconds : 0.0)
-           << ",\n"
-           << "        \"p50_us\": " << pass.p50_us << ",\n"
-           << "        \"p99_us\": " << pass.p99_us << ",\n"
-           << "        \"tier_native\": " << server.tier_native << ",\n"
-           << "        \"tier_disk\": " << server.tier_disk << ",\n"
-           << "        \"tier_memo\": " << server.tier_memo << "\n"
-           << "      }" << (warm ? "\n" : ",\n");
+      json.key(warm ? "warm" : "cold")
+          .begin_object()
+          .field("seconds", pass.seconds)
+          .field("requests", pass.requests)
+          .field("throughput_rps",
+                 pass.seconds > 0.0 ? pass.requests / pass.seconds : 0.0)
+          .field("p50_us", pass.p50_us)
+          .field("p99_us", pass.p99_us)
+          .field("tier_native", server.tier_native)
+          .field("tier_disk", server.tier_disk)
+          .field("tier_memo", server.tier_memo)
+          .end_object();
     }
-    json << "    }" << (i + 1 < legs.size() ? "," : "") << "\n";
+    json.end_object();
   }
-  json << "  ],\n"
-       << "  \"admission\": {\n"
-       << "    \"burst\": 16,\n"
-       << "    \"queue_capacity\": 1,\n"
-       << "    \"busy_responses\": " << busy_responses << ",\n"
-       << "    \"served\": " << busy_ok << "\n"
-       << "  },\n"
-       << "  \"chaos\": {\n"
-       << "    \"typed_failed_response\": "
-       << (chaos_failed_typed ? "true" : "false") << ",\n"
-       << "    \"retry_succeeded\": " << (chaos_retry_ok ? "true" : "false")
-       << "\n"
-       << "  }\n"
-       << "}\n";
+  json.end_array()
+      .key("admission")
+      .begin_object()
+      .field("burst", 16)
+      .field("queue_capacity", 1)
+      .field("busy_responses", busy_responses)
+      .field("served", busy_ok)
+      .end_object()
+      .key("chaos")
+      .begin_object()
+      .field("typed_failed_response", chaos_failed_typed)
+      .field("retry_succeeded", chaos_retry_ok)
+      .end_object()
+      .end_object();
 
   {
     std::error_code ec;
     fs::remove_all(cache_root, ec);
   }
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -241,7 +242,7 @@ int main(int argc, char** argv) {
   const double fan_ratio = fan_shared_s > 0.0 ? fan_copy_s / fan_shared_s : 0.0;
 
   // Stdout summary goes through the shared report emitter (same renderer as
-  // the experiment registry); the JSON artifact below stays hand-rolled.
+  // the experiment registry).
   ReportArtifact artifact;
   artifact.id = "perf_trace_cache";
   TextTable table({"jobs", "cold s", "native runs", "warm s", "disk hits",
@@ -271,42 +272,42 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"dataset\": \"" << apps::dataset_name(dataset) << "\",\n"
-       << "  \"configs\": " << configs.size() << ",\n"
-       << "  \"unique_execution_keys\": " << unique_keys << ",\n"
-       << "  \"byte_identical\": " << (ok ? "true" : "false") << ",\n"
-       << "  \"legs\": [\n";
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    const Leg& leg = legs[i];
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .field("dataset", apps::dataset_name(dataset))
+      .field("configs", configs.size())
+      .field("unique_execution_keys", unique_keys)
+      .field("byte_identical", ok)
+      .key("legs")
+      .begin_array();
+  for (const Leg& leg : legs) {
     const double speedup =
         leg.warm.seconds > 0.0 ? leg.cold.seconds / leg.warm.seconds : 0.0;
-    json << "    {\n"
-         << "      \"jobs\": " << leg.jobs << ",\n"
-         << "      \"cold_seconds\": " << leg.cold.seconds << ",\n"
-         << "      \"cold_native_runs\": " << leg.cold.native_runs << ",\n"
-         << "      \"cold_disk_writes\": " << leg.cold.disk_writes << ",\n"
-         << "      \"warm_seconds\": " << leg.warm.seconds << ",\n"
-         << "      \"warm_native_runs\": " << leg.warm.native_runs << ",\n"
-         << "      \"warm_disk_hits\": " << leg.warm.disk_hits << ",\n"
-         << "      \"warm_speedup\": " << speedup << "\n"
-         << "    }" << (i + 1 < legs.size() ? "," : "") << "\n";
+    json.begin_object()
+        .field("jobs", leg.jobs)
+        .field("cold_seconds", leg.cold.seconds)
+        .field("cold_native_runs", leg.cold.native_runs)
+        .field("cold_disk_writes", leg.cold.disk_writes)
+        .field("warm_seconds", leg.warm.seconds)
+        .field("warm_native_runs", leg.warm.native_runs)
+        .field("warm_disk_hits", leg.warm.disk_hits)
+        .field("warm_speedup", speedup)
+        .end_object();
   }
-  json << "  ],\n"
-       << "  \"payload_fanout\": {\n"
-       << "    \"ranks\": " << fan_ranks << ",\n"
-       << "    \"payload_bytes\": " << fan_bytes << ",\n"
-       << "    \"repeats\": " << repeats << ",\n"
-       << "    \"per_destination_copy_seconds\": " << fan_copy_s << ",\n"
-       << "    \"shared_buffer_seconds\": " << fan_shared_s << ",\n"
-       << "    \"copy_over_shared_ratio\": " << fan_ratio << "\n"
-       << "  }\n"
-       << "}\n";
+  json.end_array()
+      .key("payload_fanout")
+      .begin_object()
+      .field("ranks", fan_ranks)
+      .field("payload_bytes", fan_bytes)
+      .field("repeats", repeats)
+      .field("per_destination_copy_seconds", fan_copy_s)
+      .field("shared_buffer_seconds", fan_shared_s)
+      .field("copy_over_shared_ratio", fan_ratio)
+      .end_object()
+      .end_object();
 
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -217,48 +218,47 @@ int main(int argc, char** argv) {
   verdict.metrics.push_back({"codegen_reduction", codegen_reduction, "x"});
   emit_report(verdict, framed, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"bench\": \"tune\",\n"
-       << "  \"app\": \"" << opts.app << "\",\n"
-       << "  \"dataset\": \"" << apps::dataset_name(opts.dataset) << "\",\n"
-       << "  \"iterations\": " << opts.iterations << ",\n"
-       << "  \"seed\": " << opts.seed << ",\n"
-       << "  \"jobs\": " << jobs << ",\n"
-       << "  \"space\": " << outcome.space_size << ",\n"
-       << "  \"tuner\": {\n"
-       << "    \"seconds\": " << tune_s << ",\n"
-       << "    \"evaluations\": " << outcome.evaluations << ",\n"
-       << "    \"deduped\": " << outcome.deduped << ",\n"
-       << "    \"native_runs\": " << outcome.native_runs << ",\n"
-       << "    \"codegen_evals\": " << outcome.codegen_evals << ",\n"
-       << "    \"exec_evals\": " << outcome.exec_evals << ",\n"
-       << "    \"best_seconds\": " << outcome.best.seconds << ",\n"
-       << "    \"baseline_seconds\": " << outcome.baseline.seconds << ",\n"
-       << "    \"pareto_size\": " << outcome.pareto.size() << "\n"
-       << "  },\n"
-       << "  \"exhaustive\": {\n"
-       << "    \"seconds\": " << exhaustive_s << ",\n"
-       << "    \"best_seconds\": " << exhaustive_best_s << ",\n"
-       << "    \"naive_native_runs\": " << naive_native << ",\n"
-       << "    \"naive_codegen_evals\": " << naive_codegen << ",\n"
-       << "    \"naive_exec_evals\": " << naive_exec << "\n"
-       << "  },\n"
-       << "  \"native_reduction\": " << native_reduction << ",\n"
-       << "  \"codegen_reduction\": " << codegen_reduction << ",\n"
-       << "  \"argmin_match\": " << (argmin_match ? "true" : "false") << ",\n"
-       << "  \"jobs_identical\": " << (jobs_identical ? "true" : "false")
-       << ",\n"
-       << "  \"best_beats_baseline\": " << (beats_baseline ? "true" : "false")
-       << ",\n"
-       << "  \"reduction_ok\": " << (reduction_ok ? "true" : "false") << ",\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  json::Writer json(json::Writer::Layout::kIndented);
+  json.begin_object()
+      .field("bench", "tune")
+      .field("app", opts.app)
+      .field("dataset", apps::dataset_name(opts.dataset))
+      .field("iterations", opts.iterations)
+      .field("seed", opts.seed)
+      .field("jobs", jobs)
+      .field("space", outcome.space_size)
+      .key("tuner")
+      .begin_object()
+      .field("seconds", tune_s)
+      .field("evaluations", outcome.evaluations)
+      .field("deduped", outcome.deduped)
+      .field("native_runs", outcome.native_runs)
+      .field("codegen_evals", outcome.codegen_evals)
+      .field("exec_evals", outcome.exec_evals)
+      .field("best_seconds", outcome.best.seconds)
+      .field("baseline_seconds", outcome.baseline.seconds)
+      .field("pareto_size", outcome.pareto.size())
+      .end_object()
+      .key("exhaustive")
+      .begin_object()
+      .field("seconds", exhaustive_s)
+      .field("best_seconds", exhaustive_best_s)
+      .field("naive_native_runs", naive_native)
+      .field("naive_codegen_evals", naive_codegen)
+      .field("naive_exec_evals", naive_exec)
+      .end_object()
+      .field("native_reduction", native_reduction)
+      .field("codegen_reduction", codegen_reduction)
+      .field("argmin_match", argmin_match)
+      .field("jobs_identical", jobs_identical)
+      .field("best_beats_baseline", beats_baseline)
+      .field("reduction_ok", reduction_ok)
+      .field("ok", ok)
+      .end_object();
   static_cast<void>(report_json);
 
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(json).take();
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

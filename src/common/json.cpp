@@ -1,10 +1,12 @@
 #include "common/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
+#include "common/error.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim::json {
@@ -367,6 +369,141 @@ class Parser {
 
 std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
+}
+
+// ----- Writer --------------------------------------------------------------
+
+namespace {
+
+void append_escaped(std::string& out, std::string_view text) {
+  out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+/// `%.{precision}g` of a finite double (std::to_chars is specified to match
+/// printf in the C locale).
+std::string_view format_g(double v, int precision, char (&buf)[32]) {
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, precision);
+  return std::string_view(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
+void require_finite(double v) {
+  FS_REQUIRE(std::isfinite(v), "cannot serialise a non-finite number");
+}
+
+}  // namespace
+
+void Writer::begin_item() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (stack_.empty()) return;
+  Frame& frame = stack_.back();
+  if (!frame.empty) out_ += ',';
+  if (layout_ == Layout::kIndented) {
+    if (!frame.one_line) {
+      out_ += '\n';
+      out_.append(2 * stack_.size(), ' ');
+    } else if (!frame.empty) {
+      out_ += ' ';
+    }
+  }
+  frame.empty = false;
+}
+
+Writer& Writer::open(char bracket, bool one_line) {
+  begin_item();
+  out_ += bracket;
+  stack_.push_back(
+      Frame{one_line || (!stack_.empty() && stack_.back().one_line), true});
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  FS_REQUIRE(!stack_.empty() && !after_key_, "json::Writer: unbalanced close");
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (layout_ == Layout::kIndented && !frame.one_line && !frame.empty) {
+    out_ += '\n';
+    out_.append(2 * stack_.size(), ' ');
+  }
+  out_ += bracket;
+  return *this;
+}
+
+Writer& Writer::begin_object(bool one_line) { return open('{', one_line); }
+Writer& Writer::end_object() { return close('}'); }
+Writer& Writer::begin_array(bool one_line) { return open('[', one_line); }
+Writer& Writer::end_array() { return close(']'); }
+
+Writer& Writer::key(std::string_view name) {
+  begin_item();
+  append_escaped(out_, name);
+  out_ += layout_ == Layout::kIndented ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  begin_item();
+  append_escaped(out_, s);
+  return *this;
+}
+
+Writer& Writer::value(bool b) { return raw(b ? "true" : "false"); }
+
+Writer& Writer::value(double v) {
+  require_finite(v);
+  char buf[32];
+  return raw(format_g(v, 17, buf));
+}
+
+Writer& Writer::shortest(double v) {
+  require_finite(v);
+  // 17 significant digits always round-trip an IEEE-754 binary64.
+  char buf[32];
+  for (int precision = 1; precision < 17; ++precision) {
+    const std::string_view s = format_g(v, precision, buf);
+    double back = 0.0;
+    std::from_chars(s.data(), s.data() + s.size(), back);
+    if (back == v) return raw(s);
+  }
+  return raw(format_g(v, 17, buf));
+}
+
+Writer& Writer::null() { return raw("null"); }
+
+Writer& Writer::raw(std::string_view token) {
+  begin_item();
+  out_ += token;
+  return *this;
+}
+
+std::string Writer::take() && {
+  FS_REQUIRE(stack_.empty() && !after_key_ && !out_.empty(),
+             "json::Writer: document is not complete");
+  if (layout_ == Layout::kIndented) out_ += '\n';
+  return std::move(out_);
 }
 
 }  // namespace fibersim::json

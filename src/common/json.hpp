@@ -1,8 +1,9 @@
-// Minimal hardened JSON parser for untrusted input (no dependencies).
+// Minimal hardened JSON parser for untrusted input, and the JSON writer
+// (no dependencies).
 //
-// Built for the serve daemon's request codec: every byte arriving on the
-// socket is hostile until proven otherwise, so the parser is strict and
-// bounded rather than fast or featureful.
+// The parser was built for the serve daemon's request codec: every byte
+// arriving on the socket is hostile until proven otherwise, so it is strict
+// and bounded rather than fast or featureful.
 //
 //   * strict grammar: one complete JSON value, nothing trailing; objects
 //     reject duplicate keys (a smuggling vector — "which value wins" must
@@ -18,8 +19,12 @@
 //
 // Escapes: the usual \" \\ \/ \b \f \n \r \t plus \uXXXX (encoded to UTF-8,
 // surrogate pairs supported). Unescaped control characters are rejected.
+//
+// Writer, below the parser, is the one serialiser every output goes through.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,5 +98,74 @@ inline constexpr int kMaxDepth = 32;
 /// whitespace allowed). On failure returns nullopt and, when `error` is
 /// non-null, a one-line message with the byte offset.
 std::optional<Value> parse(std::string_view text, std::string* error);
+
+/// Serialises one JSON value into a string: the writer places commas and
+/// whitespace, escapes strings (keys too) and formats numbers.
+///
+/// Layouts, each fixed by the byte contract of the formats that use it:
+///   * kCompact  — no whitespace: trace, serve and journal lines;
+///   * kIndented — 2-space indent, one item per line, `"key": value`, a
+///     final newline: descriptors, calibration dumps, report JSON, BENCH
+///     files. A container opened with one_line = true (and everything in
+///     it) keeps its items on one line, separated by ", ".
+///
+/// value(double) writes `%.17g`; shortest(double) the shortest `%.{p}g`
+/// that reads back to the same bits. Both throw fibersim::Error on a
+/// non-finite value. raw() inserts an already-serialised token.
+class Writer {
+ public:
+  enum class Layout { kCompact, kIndented };
+
+  explicit Writer(Layout layout = Layout::kCompact) : layout_(layout) {}
+
+  Writer& begin_object(bool one_line = false);
+  Writer& end_object();
+  Writer& begin_array(bool one_line = false);
+  Writer& end_array();
+
+  /// Next member's key; the following call writes its value.
+  Writer& key(std::string_view name);
+
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(bool b);
+  Writer& value(double v);
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Writer& value(T v) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    return raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  }
+  Writer& shortest(double v);
+  Writer& null();
+  Writer& raw(std::string_view token);
+
+  /// key(name) then value(v).
+  template <typename T>
+  Writer& field(std::string_view name, const T& v) {
+    key(name);
+    return value(v);
+  }
+
+  /// The finished document (every container closed).
+  std::string take() &&;
+
+ private:
+  struct Frame {
+    bool one_line;
+    bool empty;
+  };
+
+  Writer& open(char bracket, bool one_line);
+  Writer& close(char bracket);
+  /// Separator and indentation before a key or a value that has no key.
+  void begin_item();
+
+  Layout layout_;
+  std::string out_;
+  std::vector<Frame> stack_;
+  bool after_key_ = false;
+};
 
 }  // namespace fibersim::json

@@ -5,6 +5,7 @@
 
 #include "common/barchart.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim {
@@ -28,30 +29,12 @@ const char* report_format_name(ReportFormat format) {
 }
 
 std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  json::Writer w;
+  std::string quoted = std::move(w.value(text)).take();
+  return quoted.substr(1, quoted.size() - 2);
 }
 
 namespace {
-
-/// %.17g round-trips every double exactly through strtod.
-std::string json_number(double v) { return strfmt("%.17g", v); }
 
 /// One bar chart per table row: the first column titles the chart, the
 /// header labels the bars, cells that parse as numbers become bars.
@@ -98,40 +81,37 @@ void emit_text(const ReportArtifact& artifact, const EmitOptions& opts,
 }
 
 void emit_json(const ReportArtifact& artifact, std::ostream& os) {
-  os << "{\n  \"id\": \"" << json_escape(artifact.id) << "\",\n"
-     << "  \"sections\": [";
-  for (std::size_t s = 0; s < artifact.sections.size(); ++s) {
-    const ReportSection& section = artifact.sections[s];
-    os << (s ? "," : "") << "\n    {\n      \"title\": \""
-       << json_escape(section.title) << "\",\n";
+  json::Writer w(json::Writer::Layout::kIndented);
+  w.begin_object().field("id", artifact.id).key("sections").begin_array();
+  for (const ReportSection& section : artifact.sections) {
+    w.begin_object().field("title", section.title);
     if (section.table.has_value()) {
       const TextTable& table = *section.table;
-      os << "      \"table\": {\n        \"header\": [";
-      for (std::size_t c = 0; c < table.columns(); ++c) {
-        os << (c ? ", " : "") << '"' << json_escape(table.header()[c]) << '"';
-      }
-      os << "],\n        \"rows\": [";
+      w.key("table").begin_object();
+      w.key("header").begin_array(/*one_line=*/true);
+      for (const std::string& cell : table.header()) w.value(cell);
+      w.end_array().key("rows").begin_array();
       for (std::size_t r = 0; r < table.rows(); ++r) {
-        os << (r ? "," : "") << "\n          [";
-        for (std::size_t c = 0; c < table.columns(); ++c) {
-          os << (c ? ", " : "") << '"' << json_escape(table.row(r)[c]) << '"';
-        }
-        os << ']';
+        w.begin_array(/*one_line=*/true);
+        for (const std::string& cell : table.row(r)) w.value(cell);
+        w.end_array();
       }
-      os << (table.rows() ? "\n        " : "") << "]\n      }\n";
+      w.end_array().end_object();
     } else {
-      os << "      \"figure\": \"" << json_escape(section.figure) << "\"\n";
+      w.field("figure", section.figure);
     }
-    os << "    }";
+    w.end_object();
   }
-  os << (artifact.sections.empty() ? "" : "\n  ") << "],\n  \"metrics\": [";
-  for (std::size_t m = 0; m < artifact.metrics.size(); ++m) {
-    const ScalarMetric& metric = artifact.metrics[m];
-    os << (m ? "," : "") << "\n    {\"key\": \"" << json_escape(metric.key)
-       << "\", \"value\": " << json_number(metric.value) << ", \"unit\": \""
-       << json_escape(metric.unit) << "\"}";
+  w.end_array().key("metrics").begin_array();
+  for (const ScalarMetric& metric : artifact.metrics) {
+    w.begin_object(/*one_line=*/true)
+        .field("key", metric.key)
+        .field("value", metric.value)
+        .field("unit", metric.unit)
+        .end_object();
   }
-  os << (artifact.metrics.empty() ? "" : "\n  ") << "]\n}\n";
+  w.end_array().end_object();
+  os << std::move(w).take();
 }
 
 }  // namespace

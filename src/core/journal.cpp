@@ -10,6 +10,8 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/json.hpp"
+#include "common/parse_num.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim::core {
@@ -18,9 +20,12 @@ namespace {
 
 // ----- bit-exact double <-> hex -------------------------------------------
 
+std::string hex_u64(std::uint64_t v) {
+  return strfmt("%016llx", static_cast<unsigned long long>(v));
+}
+
 std::string hex_f64(double v) {
-  return strfmt("%016llx", static_cast<unsigned long long>(
-                               std::bit_cast<std::uint64_t>(v)));
+  return hex_u64(std::bit_cast<std::uint64_t>(v));
 }
 
 bool parse_hex_u64(std::string_view text, std::uint64_t* out) {
@@ -44,93 +49,103 @@ bool parse_hex_f64(std::string_view text, double* out) {
   return true;
 }
 
-// ----- minimal JSON string escape -----------------------------------------
+// ----- line decoder --------------------------------------------------------
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
+/// Every line is one object with exactly these keys in this order; a line
+/// that differs in any way (killed mid-append, foreign, hand-edited) is
+/// skipped whole.
+constexpr std::string_view kKeys[] = {"v",          "key",     "label",
+                                      "verified",   "check_value",
+                                      "check_desc", "power",   "agg",
+                                      "nphases",    "phases"};
+
+/// A non-negative integer token.
+bool small_int(const json::Value& v, int* out) {
+  const std::optional<int> i =
+      v.is_number() ? parse_i32(v.raw_number()) : std::nullopt;
+  if (!i || *i < 0) return false;
+  *out = *i;
+  return true;
 }
 
-// ----- line scanner --------------------------------------------------------
-
-/// Strict cursor over one journal line. The journal only ever parses its own
-/// emission format (fixed field order), so this is a scanner, not a general
-/// JSON parser; any mismatch fails the whole line, which the loader skips.
-class Scanner {
- public:
-  explicit Scanner(std::string_view line) : line_(line) {}
-
-  bool literal(std::string_view text) {
-    if (line_.substr(pos_, text.size()) != text) return false;
-    pos_ += text.size();
-    return true;
-  }
-
-  /// "escaped string" (opening quote must be next).
-  bool string(std::string* out) {
-    if (!literal("\"")) return false;
-    out->clear();
-    while (pos_ < line_.size()) {
-      const char c = line_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= line_.size()) return false;
-      const char e = line_[pos_++];
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'r': *out += '\r'; break;
-        default: return false;
-      }
+/// `items[0, outs.size())` are hex-encoded doubles.
+bool hex_f64s(const json::Value* items, std::initializer_list<double*> outs) {
+  for (double* out : outs) {
+    const json::Value& item = *items++;
+    if (!item.is_string() || !parse_hex_f64(item.as_string(), out)) {
+      return false;
     }
+  }
+  return true;
+}
+
+/// `v` is an array of exactly `outs.size()` hex-encoded doubles.
+bool hex_array(const json::Value& v, std::initializer_list<double*> outs) {
+  return v.is_array() && v.items().size() == outs.size() &&
+         hex_f64s(v.items().data(), outs);
+}
+
+/// [name, timed, comm_s, total_s, compute_s, memory_s, barrier_s,
+///  time.total_s, limiter, flops, dram_bytes, remote_bytes, chain_s]
+bool decode_phase(const json::Value& v, trace::PhasePrediction* phase) {
+  if (!v.is_array() || v.items().size() != 13) return false;
+  const json::Items& f = v.items();
+  machine::PhaseTime& t = phase->time;
+  int timed = 0;
+  int limiter = 0;
+  if (!f[0].is_string() || !small_int(f[1], &timed) ||
+      !small_int(f[8], &limiter) || limiter > 3 ||
+      !hex_f64s(&f[2], {&phase->comm_s, &phase->total_s, &t.compute_s,
+                        &t.memory_s, &t.barrier_s, &t.total_s}) ||
+      !hex_f64s(&f[9], {&t.flops, &t.dram_bytes, &t.remote_bytes,
+                        &t.chain_s})) {
     return false;
   }
-
-  /// "hex-encoded double"
-  bool f64(double* out) {
-    std::string text;
-    return string(&text) && parse_hex_f64(text, out);
-  }
-
-  /// Bare small non-negative integer.
-  bool integer(int* out) {
-    std::size_t digits = 0;
-    long value = 0;
-    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
-      value = value * 10 + (line_[pos_] - '0');
-      if (value > 1000000000) return false;
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) return false;
-    *out = static_cast<int>(value);
-    return true;
-  }
-
-  bool done() const { return pos_ == line_.size(); }
-
- private:
-  std::string_view line_;
-  std::size_t pos_ = 0;
-};
+  phase->name = f[0].as_string();
+  phase->timed = timed != 0;
+  t.limiter = static_cast<machine::Limiter>(limiter);
+  return true;
+}
 
 }  // namespace
+
+bool SweepJournal::decode_line(std::string_view line, std::uint64_t* key,
+                               Stored* stored) {
+  const std::optional<json::Value> root = json::parse(line, nullptr);
+  if (!root || !root->is_object()) return false;
+  const json::Members& m = root->members();
+  if (m.size() != std::size(kKeys)) return false;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (m[i].first != kKeys[i]) return false;
+  }
+  int version = 0;
+  int verified = 0;
+  int nphases = 0;
+  trace::JobPrediction& p = stored->prediction;
+  if (!small_int(m[0].second, &version) || version != 1 ||
+      !m[1].second.is_string() ||
+      !parse_hex_u64(m[1].second.as_string(), key) ||
+      !m[2].second.is_string() || !small_int(m[3].second, &verified) ||
+      !hex_f64s(&m[4].second, {&stored->check_value}) ||
+      !m[5].second.is_string() ||
+      !hex_array(m[6].second, {&stored->power.watts, &stored->power.joules,
+                               &stored->power.gflops_per_watt}) ||
+      !hex_array(m[7].second, {&p.total_s, &p.compute_s, &p.memory_s,
+                               &p.comm_s, &p.barrier_s, &p.flops,
+                               &p.dram_bytes, &p.setup_s}) ||
+      !small_int(m[8].second, &nphases) || !m[9].second.is_array() ||
+      m[9].second.items().size() != static_cast<std::size_t>(nphases)) {
+    return false;
+  }
+  stored->verified = verified != 0;
+  stored->check_description = m[5].second.as_string();
+  for (const json::Value& item : m[9].second.items()) {
+    trace::PhasePrediction phase;
+    if (!decode_phase(item, &phase)) return false;
+    p.phases.push_back(std::move(phase));
+  }
+  return true;
+}
 
 // ----- fingerprint ---------------------------------------------------------
 
@@ -222,58 +237,10 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
     const std::size_t eol = content.find('\n', pos);
     std::string_view line(content.data() + pos, eol - pos);
     pos = eol + 1;
-    Scanner s(line);
     std::uint64_t key = 0;
     Stored stored;
-    std::string key_text;
-    std::string label;  // human-readable only; ignored on load
-    int verified = 0;
-    int nphases = 0;
-    bool ok = s.literal("{\"v\":1,\"key\":") && s.string(&key_text) &&
-              parse_hex_u64(key_text, &key) && s.literal(",\"label\":") &&
-              s.string(&label) && s.literal(",\"verified\":") &&
-              s.integer(&verified) && s.literal(",\"check_value\":") &&
-              s.f64(&stored.check_value) && s.literal(",\"check_desc\":") &&
-              s.string(&stored.check_description) &&
-              s.literal(",\"power\":[") && s.f64(&stored.power.watts) &&
-              s.literal(",") && s.f64(&stored.power.joules) &&
-              s.literal(",") && s.f64(&stored.power.gflops_per_watt) &&
-              s.literal("],\"agg\":[") && s.f64(&stored.prediction.total_s) &&
-              s.literal(",") && s.f64(&stored.prediction.compute_s) &&
-              s.literal(",") && s.f64(&stored.prediction.memory_s) &&
-              s.literal(",") && s.f64(&stored.prediction.comm_s) &&
-              s.literal(",") && s.f64(&stored.prediction.barrier_s) &&
-              s.literal(",") && s.f64(&stored.prediction.flops) &&
-              s.literal(",") && s.f64(&stored.prediction.dram_bytes) &&
-              s.literal(",") && s.f64(&stored.prediction.setup_s) &&
-              s.literal("],\"nphases\":") && s.integer(&nphases) &&
-              s.literal(",\"phases\":[");
-    for (int i = 0; ok && i < nphases; ++i) {
-      trace::PhasePrediction phase;
-      int timed = 0;
-      int limiter = 0;
-      ok = (i == 0 || s.literal(",")) && s.literal("[") &&
-           s.string(&phase.name) && s.literal(",") && s.integer(&timed) &&
-           s.literal(",") && s.f64(&phase.comm_s) && s.literal(",") &&
-           s.f64(&phase.total_s) && s.literal(",") &&
-           s.f64(&phase.time.compute_s) && s.literal(",") &&
-           s.f64(&phase.time.memory_s) && s.literal(",") &&
-           s.f64(&phase.time.barrier_s) && s.literal(",") &&
-           s.f64(&phase.time.total_s) && s.literal(",") &&
-           s.integer(&limiter) && s.literal(",") && s.f64(&phase.time.flops) &&
-           s.literal(",") && s.f64(&phase.time.dram_bytes) &&
-           s.literal(",") && s.f64(&phase.time.remote_bytes) &&
-           s.literal(",") && s.f64(&phase.time.chain_s) && s.literal("]");
-      if (ok && (limiter < 0 || limiter > 3)) ok = false;
-      if (ok) {
-        phase.timed = timed != 0;
-        phase.time.limiter = static_cast<machine::Limiter>(limiter);
-        stored.prediction.phases.push_back(std::move(phase));
-      }
-    }
-    ok = ok && s.literal("]}") && s.done();
-    if (!ok) continue;  // torn/foreign line (e.g. killed mid-append): skip
-    stored.verified = verified != 0;
+    // Torn, foreign or malformed line (e.g. killed mid-append): skip it.
+    if (!decode_line(line, &key, &stored)) continue;
     entries_[key] = std::move(stored);
     ++loaded_;
   }
@@ -317,43 +284,37 @@ bool SweepJournal::record(const ExperimentConfig& config,
                           const ExperimentResult& result) {
   const std::uint64_t key = fingerprint(config);
 
-  std::string line = strfmt(
-      "{\"v\":1,\"key\":\"%016llx\",\"label\":\"%s\",\"verified\":%d,"
-      "\"check_value\":\"%s\",\"check_desc\":\"%s\",\"power\":[\"%s\",\"%s\","
-      "\"%s\"],\"agg\":[",
-      static_cast<unsigned long long>(key), escape(config.label()).c_str(),
-      result.verified ? 1 : 0, hex_f64(result.check_value).c_str(),
-      escape(result.check_description).c_str(),
-      hex_f64(result.power.watts).c_str(),
-      hex_f64(result.power.joules).c_str(),
-      hex_f64(result.power.gflops_per_watt).c_str());
   const trace::JobPrediction& p = result.prediction;
-  for (double v : {p.total_s, p.compute_s, p.memory_s, p.comm_s, p.barrier_s,
-                   p.flops, p.dram_bytes, p.setup_s}) {
-    if (line.back() != '[') line += ',';
-    line += '"' + hex_f64(v) + '"';
+  json::Writer w;
+  const auto hex_values = [&w](std::initializer_list<double> values) {
+    for (const double v : values) w.value(hex_f64(v));
+  };
+  w.begin_object()
+      .field("v", 1)
+      .field("key", hex_u64(key))
+      .field("label", config.label())
+      .field("verified", result.verified ? 1 : 0)
+      .field("check_value", hex_f64(result.check_value))
+      .field("check_desc", result.check_description)
+      .key("power")
+      .begin_array();
+  hex_values({result.power.watts, result.power.joules,
+              result.power.gflops_per_watt});
+  w.end_array().key("agg").begin_array();
+  hex_values({p.total_s, p.compute_s, p.memory_s, p.comm_s, p.barrier_s,
+              p.flops, p.dram_bytes, p.setup_s});
+  w.end_array().field("nphases", p.phases.size()).key("phases").begin_array();
+  for (const trace::PhasePrediction& phase : p.phases) {
+    const machine::PhaseTime& t = phase.time;
+    w.begin_array().value(phase.name).value(phase.timed ? 1 : 0);
+    hex_values({phase.comm_s, phase.total_s, t.compute_s, t.memory_s,
+                t.barrier_s, t.total_s});
+    w.value(static_cast<int>(t.limiter));
+    hex_values({t.flops, t.dram_bytes, t.remote_bytes, t.chain_s});
+    w.end_array();
   }
-  line += strfmt("],\"nphases\":%d,\"phases\":[",
-                 static_cast<int>(p.phases.size()));
-  for (std::size_t i = 0; i < p.phases.size(); ++i) {
-    const trace::PhasePrediction& phase = p.phases[i];
-    if (i > 0) line += ',';
-    line += strfmt("[\"%s\",%d", escape(phase.name).c_str(),
-                   phase.timed ? 1 : 0);
-    line += ",\"" + hex_f64(phase.comm_s) + '"';
-    line += ",\"" + hex_f64(phase.total_s) + '"';
-    line += ",\"" + hex_f64(phase.time.compute_s) + '"';
-    line += ",\"" + hex_f64(phase.time.memory_s) + '"';
-    line += ",\"" + hex_f64(phase.time.barrier_s) + '"';
-    line += ",\"" + hex_f64(phase.time.total_s) + '"';
-    line += strfmt(",%d", static_cast<int>(phase.time.limiter));
-    line += ",\"" + hex_f64(phase.time.flops) + '"';
-    line += ",\"" + hex_f64(phase.time.dram_bytes) + '"';
-    line += ",\"" + hex_f64(phase.time.remote_bytes) + '"';
-    line += ",\"" + hex_f64(phase.time.chain_s) + '"';
-    line += ']';
-  }
-  line += "]}";
+  w.end_array().end_object();
+  std::string line = std::move(w).take();
 
   Stored stored;
   stored.prediction = result.prediction;

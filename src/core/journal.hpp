@@ -25,6 +25,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "core/runner.hpp"
 
@@ -70,6 +71,10 @@ class SweepJournal {
     double check_value = 0.0;
     std::string check_description;
   };
+
+  /// Decode one journal line; false for anything but a well-formed record.
+  static bool decode_line(std::string_view line, std::uint64_t* key,
+                          Stored* stored);
 
   std::string path_;
   std::size_t loaded_ = 0;

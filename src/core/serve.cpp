@@ -70,11 +70,6 @@ void ignore_sigpipe() {
   ::sigaction(SIGPIPE, &sa, nullptr);
 }
 
-std::string u64_field(const char* key, std::uint64_t value) {
-  return strfmt("\"%s\":%llu", key,
-                static_cast<unsigned long long>(value));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -482,13 +477,14 @@ void Server::dispatch_line(const std::shared_ptr<Conn>& conn,
   switch (req.verb) {
     case ServeRequest::Verb::kPing:
       counters_->ping.fetch_add(1, std::memory_order_relaxed);
-      write_response(conn, serve_ok_prefix("ping", req.id) +
-                               ",\"payload\":\"pong\"}");
+      write_response(conn,
+                     serve_ok_finish(serve_ok_begin("ping", req.id),
+                                     "\"pong\""));
       return;
     case ServeRequest::Verb::kStats:
       counters_->stats.fetch_add(1, std::memory_order_relaxed);
-      write_response(conn, serve_ok_prefix("stats", req.id) +
-                               ",\"payload\":" + stats_json() + "}");
+      write_response(conn, serve_ok_finish(serve_ok_begin("stats", req.id),
+                                           stats_json()));
       return;
     case ServeRequest::Verb::kPredict:
     case ServeRequest::Verb::kReport:
@@ -560,6 +556,11 @@ void Server::dispatch_line(const std::shared_ptr<Conn>& conn,
 void Server::execute(Task task) {
   enum class Outcome { kOk, kDeadline, kFailed, kInternal };
   Outcome outcome = Outcome::kOk;
+  const bool predict = task.req.verb == ServeRequest::Verb::kPredict;
+  // The ok response is assembled once, after the latency is known; the
+  // verb's members go in as it executes, the payload last.
+  json::Writer ok = serve_ok_begin(predict ? "predict" : "report", task.req.id);
+  std::string payload;
   std::string response;
   if (task.token != nullptr && task.token->expired()) {
     // Already-expired queued work is shed without executing: the client has
@@ -574,12 +575,12 @@ void Server::execute(Task task) {
     // Runner and predict path checkpoint it at phase boundaries.
     cancel::Scope scope(task.token);
     try {
-      if (task.req.verb == ServeRequest::Verb::kPredict) {
+      if (predict) {
         counters_->predict.fetch_add(1, std::memory_order_relaxed);
-        response = execute_predict(task.req);
+        payload = execute_predict(task.req, ok);
       } else {
         counters_->report.fetch_add(1, std::memory_order_relaxed);
-        response = execute_report(task.req);
+        payload = execute_report(task.req, ok);
       }
     } catch (const Error& e) {
       if (cancel::is_cancelled(e.what())) {
@@ -630,15 +631,10 @@ void Server::execute(Task task) {
           std::chrono::steady_clock::now() - task.t0)
           .count();
   record_latency(micros);
-  // Splice the latency in just before the payload key (the first occurrence
-  // is always the real key: inside the payload, a double quote can only
-  // appear escaped, never after a bare comma). Error responses carry no
-  // payload and stay schema-minimal.
-  if (response.compare(0, 10, "{\"ok\":true") == 0) {
-    const std::size_t pos = response.find(",\"payload\":");
-    if (pos != std::string::npos) {
-      response.insert(pos, strfmt(",\"latency_us\":%.0f", micros));
-    }
+  // Error responses carry no latency and stay schema-minimal.
+  if (outcome == Outcome::kOk) {
+    ok.key("latency_us").raw(strfmt("%.0f", micros));
+    response = serve_ok_finish(std::move(ok), payload);
   }
   write_response(task.conn, response);
 
@@ -654,7 +650,8 @@ void Server::execute(Task task) {
   if (left == 0) pending_cv_.notify_all();
 }
 
-std::string Server::execute_predict(const ServeRequest& req) {
+std::string Server::execute_predict(const ServeRequest& req,
+                                    json::Writer& ok) {
   const char* tier_name = nullptr;
   ExperimentResult res;
   if (journal_ != nullptr && journal_->lookup(req.config, &res)) {
@@ -686,11 +683,10 @@ std::string Server::execute_predict(const ServeRequest& req) {
     }
     tier_name = run_tier_name(tier);
   }
+  ok.field("tier", tier_name).field("verified", res.verified);
   // Payload contract: the raw prediction JSON, byte-identical to the line
   // `fibersim run --json` prints for the same config.
-  return serve_ok_prefix("predict", req.id) + ",\"tier\":\"" + tier_name +
-         "\",\"verified\":" + (res.verified ? "true" : "false") +
-         ",\"payload\":" + trace::to_json(res.prediction) + "}";
+  return trace::to_json(res.prediction);
 }
 
 std::string Server::breaker_key_of(const ServeRequest& req) {
@@ -702,7 +698,8 @@ std::string Server::breaker_key_of(const ServeRequest& req) {
                 req.config.threads);
 }
 
-std::string Server::execute_report(const ServeRequest& req) {
+std::string Server::execute_report(const ServeRequest& req,
+                                   json::Writer& ok) {
   const ExperimentRegistry& registry = ExperimentRegistry::instance();
   const Experiment& entry = registry.get(req.report_id);
   ReportContext ctx;
@@ -721,11 +718,10 @@ std::string Server::execute_report(const ServeRequest& req) {
   opts.framed = false;
   std::ostringstream text;
   emit_report(registry.build(entry.id, ctx), opts, text);
+  ok.field("format", report_format_name(req.format));
   // Payload contract: a JSON string holding exactly the bytes `fibersim
   // report <id>` would print.
-  return serve_ok_prefix("report", req.id) + ",\"format\":\"" +
-         report_format_name(req.format) + "\",\"payload\":\"" +
-         json_escape(text.str()) + "\"}";
+  return std::move(json::Writer().value(text.str())).take();
 }
 
 bool Server::write_response(const std::shared_ptr<Conn>& conn,
@@ -795,68 +791,65 @@ ServeStats Server::stats_snapshot() const {
 
 std::string Server::stats_json() const {
   const ServeStats s = stats_snapshot();
-  std::string out = "{";
-  out += u64_field("connections", s.connections) + ",";
-  out += u64_field("requests", s.requests) + ",";
-  out += u64_field("responses", s.responses) + ",";
-  out += "\"verbs\":{" + u64_field("ping", s.ping) + "," +
-         u64_field("stats", s.stats) + "," +
-         u64_field("predict", s.predict) + "," +
-         u64_field("report", s.report) + "},";
-  out += "\"errors\":{" + u64_field("bad_request", s.bad_request) + "," +
-         u64_field("busy", s.busy) + "," +
-         u64_field("shutdown", s.shutdown) + "," +
-         u64_field("failed", s.failed) + "," +
-         u64_field("internal", s.internal) + "," +
-         u64_field("deadline", s.deadline) + "," +
-         u64_field("circuit_open", s.circuit_open) + "," +
-         u64_field("dropped_responses", s.dropped_responses) + "},";
-  out += "\"tiers\":{" + u64_field("memo", s.tier_memo) + "," +
-         u64_field("disk", s.tier_disk) + "," +
-         u64_field("native", s.tier_native) + "," +
-         u64_field("journal", s.tier_journal) + "},";
-  out += "\"breaker\":{" + u64_field("trips", s.breaker_trips) + "," +
-         u64_field("half_opens", s.breaker_half_opens) + "," +
-         u64_field("open_now", s.breaker_open_now) + "},";
+  json::Writer w;
+  using Fields = std::initializer_list<std::pair<const char*, std::uint64_t>>;
+  const auto counters = [&w](const char* key, Fields fields) {
+    w.key(key).begin_object();
+    for (const auto& [name, value] : fields) w.field(name, value);
+    w.end_object();
+  };
+  w.begin_object()
+      .field("connections", s.connections)
+      .field("requests", s.requests)
+      .field("responses", s.responses);
+  counters("verbs", {{"ping", s.ping}, {"stats", s.stats},
+                     {"predict", s.predict}, {"report", s.report}});
+  counters("errors", {{"bad_request", s.bad_request}, {"busy", s.busy},
+                      {"shutdown", s.shutdown}, {"failed", s.failed},
+                      {"internal", s.internal}, {"deadline", s.deadline},
+                      {"circuit_open", s.circuit_open},
+                      {"dropped_responses", s.dropped_responses}});
+  counters("tiers", {{"memo", s.tier_memo}, {"disk", s.tier_disk},
+                     {"native", s.tier_native}, {"journal", s.tier_journal}});
+  counters("breaker", {{"trips", s.breaker_trips},
+                       {"half_opens", s.breaker_half_opens},
+                       {"open_now", s.breaker_open_now}});
   if (journal_ != nullptr) {
-    out += "\"journal\":{" +
-           u64_field("loaded", journal_->loaded()) + "," +
-           u64_field("hits",
-                     journal_hits_.load(std::memory_order_relaxed)) + "," +
-           u64_field("recovered_tail_bytes",
-                     journal_->recovered_tail_bytes()) + "},";
+    counters("journal",
+             {{"loaded", journal_->loaded()},
+              {"hits", journal_hits_.load(std::memory_order_relaxed)},
+              {"recovered_tail_bytes", journal_->recovered_tail_bytes()}});
   } else {
-    out += "\"journal\":null,";
+    w.key("journal").null();
   }
-  out += "\"latency_us\":{" + u64_field("samples", s.latency_samples) +
-         strfmt(",\"p50\":%.1f,\"p99\":%.1f", s.latency_p50_us,
-                s.latency_p99_us) +
-         "},";
-  out += "\"runner\":{" +
-         u64_field("native_runs", runner_.native_runs()) + "," +
-         u64_field("disk_hits", runner_.disk_hits()) + "," +
-         u64_field("disk_writes", runner_.disk_writes()) + "," +
-         u64_field("codegen_lookups", runner_.codegen_lookups()) + "," +
-         u64_field("codegen_hits", runner_.codegen_hits()) + "," +
-         u64_field("exec_lookups", runner_.exec_lookups()) + "," +
-         u64_field("exec_hits", runner_.exec_hits()) + "},";
-  out += "\"collapse\":{" +
-         u64_field("classes", runner_.collapse_classes()) + "," +
-         u64_field("native_ranks", runner_.collapse_native_ranks()) + "," +
-         u64_field("replicated_ranks",
-                   runner_.collapse_replicated_ranks()) + "},";
+  w.key("latency_us")
+      .begin_object()
+      .field("samples", s.latency_samples)
+      .key("p50")
+      .raw(strfmt("%.1f", s.latency_p50_us))
+      .key("p99")
+      .raw(strfmt("%.1f", s.latency_p99_us))
+      .end_object();
+  counters("runner", {{"native_runs", runner_.native_runs()},
+                      {"disk_hits", runner_.disk_hits()},
+                      {"disk_writes", runner_.disk_writes()},
+                      {"codegen_lookups", runner_.codegen_lookups()},
+                      {"codegen_hits", runner_.codegen_hits()},
+                      {"exec_lookups", runner_.exec_lookups()},
+                      {"exec_hits", runner_.exec_hits()}});
+  counters("collapse",
+           {{"classes", runner_.collapse_classes()},
+            {"native_ranks", runner_.collapse_native_ranks()},
+            {"replicated_ranks", runner_.collapse_replicated_ranks()}});
   const std::shared_ptr<trace::TraceStore>& store = runner_.trace_store();
   if (store != nullptr) {
     const trace::TraceStore::Stats ts = store->stats();
-    out += "\"store\":{" + u64_field("loads", ts.loads) + "," +
-           u64_field("hits", ts.hits) + "," +
-           u64_field("writes", ts.writes) + "," +
-           u64_field("evictions", ts.evictions) + "}";
+    counters("store", {{"loads", ts.loads}, {"hits", ts.hits},
+                       {"writes", ts.writes}, {"evictions", ts.evictions}});
   } else {
-    out += "\"store\":null";
+    w.key("store").null();
   }
-  out += "}";
-  return out;
+  return std::move(w.end_object()).take();
 }
 
 // ---------------------------------------------------------------------------

@@ -159,10 +159,11 @@ class Server {
   void dispatch_line(const std::shared_ptr<Conn>& conn,
                      const std::string& line);
   void execute(Task task);
-  /// Executes one predict (journal fast path included) and bumps the tier
-  /// counter for the tier that answered.
-  std::string execute_predict(const ServeRequest& req);
-  std::string execute_report(const ServeRequest& req);
+  /// Execute one predict (journal fast path included) or report: write the
+  /// verb's members of the ok response to `ok` and return its serialised
+  /// payload. execute_predict bumps the counter of the tier that answered.
+  std::string execute_predict(const ServeRequest& req, json::Writer& ok);
+  std::string execute_report(const ServeRequest& req, json::Writer& ok);
   /// Breaker key for a request: its config class, not the exact config —
   /// "predict/<app>/<dataset>/<ranks>x<threads>" or "report/<id>".
   static std::string breaker_key_of(const ServeRequest& req);

@@ -139,30 +139,24 @@ std::string parse_serve_request(std::string_view line, ServeRequest& req) {
 std::string serve_error_response(std::string_view code, std::string_view id,
                                  std::string_view message,
                                  std::int64_t retry_after_ms) {
-  std::string out = "{\"ok\":false";
-  if (!id.empty()) {
-    out += ",\"id\":\"" + json_escape(id) + "\"";
-  }
-  out += ",\"code\":\"";
-  out += code;
-  out += "\",\"error\":\"" + json_escape(message) + "\"";
-  if (retry_after_ms > 0) {
-    out += strfmt(",\"retry_after_ms\":%lld",
-                  static_cast<long long>(retry_after_ms));
-  }
-  out += "}";
-  return out;
+  json::Writer w;
+  w.begin_object().field("ok", false);
+  if (!id.empty()) w.field("id", id);
+  w.field("code", code).field("error", message);
+  if (retry_after_ms > 0) w.field("retry_after_ms", retry_after_ms);
+  return std::move(w.end_object()).take();
 }
 
-std::string serve_ok_prefix(std::string_view verb, std::string_view id) {
-  std::string out = "{\"ok\":true";
-  if (!id.empty()) {
-    out += ",\"id\":\"" + json_escape(id) + "\"";
-  }
-  out += ",\"verb\":\"";
-  out += verb;
-  out += "\"";
-  return out;
+json::Writer serve_ok_begin(std::string_view verb, std::string_view id) {
+  json::Writer w;
+  w.begin_object().field("ok", true);
+  if (!id.empty()) w.field("id", id);
+  w.field("verb", verb);
+  return w;
+}
+
+std::string serve_ok_finish(json::Writer w, std::string_view payload) {
+  return std::move(w.key("payload").raw(payload).end_object()).take();
 }
 
 }  // namespace fibersim::core

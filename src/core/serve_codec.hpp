@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/report_emit.hpp"
 #include "core/experiment.hpp"
 
@@ -94,10 +95,14 @@ std::string serve_error_response(std::string_view code, std::string_view id,
                                  std::string_view message,
                                  std::int64_t retry_after_ms = 0);
 
-/// Prefix of an ok:true response up to and excluding the final
-/// `"payload":...}` — callers append the payload (raw JSON for predict,
-/// quoted string for report) and the closing brace so the payload is always
-/// the last key (clients can split on `"payload":` exactly once).
-std::string serve_ok_prefix(std::string_view verb, std::string_view id);
+/// Starts an ok:true response — {"ok":true,"id":...,"verb":... (id omitted
+/// when empty) — and leaves the object open for verb-specific members.
+json::Writer serve_ok_begin(std::string_view verb, std::string_view id);
+
+/// Closes a response from serve_ok_begin with `"payload":<payload>`, where
+/// `payload` is one serialised JSON value (raw JSON for predict, a quoted
+/// string for report). The payload is always the last key, so clients can
+/// split on `"payload":` exactly once. No trailing newline.
+std::string serve_ok_finish(json::Writer w, std::string_view payload);
 
 }  // namespace fibersim::core

@@ -310,23 +310,20 @@ void CalibrationOptions::validate() const {
 }
 
 std::string measurements_to_json(const CalibrationMeasurements& m) {
-  std::string out = "{\n";
-  auto field = [&out](const char* key, const std::string& v, bool last = false) {
-    out += strfmt("  \"%s\": %s%s\n", key, v.c_str(), last ? "" : ",");
-  };
-  field("format", "\"" + std::string(kMeasurementsFormat) + "\"");
-  field("freq_hz", format_double(m.freq_hz));
-  field("l1_bw", format_double(m.l1_bw));
-  field("l2_bw", format_double(m.l2_bw));
-  field("dram_bw", format_double(m.dram_bw));
-  field("fma_flops", format_double(m.fma_flops));
-  field("numa_remote_penalty", format_double(m.numa_remote_penalty));
-  field("barrier_ns", format_double(m.barrier_ns));
-  field("threads", strfmt("%d", m.threads));
-  field("numa_domains", strfmt("%d", m.numa_domains));
-  field("wall_s", format_double(m.wall_s), /*last=*/true);
-  out += "}\n";
-  return out;
+  json::Writer w(json::Writer::Layout::kIndented);
+  w.begin_object().field("format", kMeasurementsFormat);
+  w.key("freq_hz").shortest(m.freq_hz);
+  w.key("l1_bw").shortest(m.l1_bw);
+  w.key("l2_bw").shortest(m.l2_bw);
+  w.key("dram_bw").shortest(m.dram_bw);
+  w.key("fma_flops").shortest(m.fma_flops);
+  w.key("numa_remote_penalty").shortest(m.numa_remote_penalty);
+  w.key("barrier_ns").shortest(m.barrier_ns);
+  w.field("threads", m.threads);
+  w.field("numa_domains", m.numa_domains);
+  w.key("wall_s").shortest(m.wall_s);
+  w.end_object();
+  return std::move(w).take();
 }
 
 CalibrationMeasurements parse_measurements(std::string_view text) {

@@ -1,8 +1,6 @@
 #include "machine/descriptor.hpp"
 
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -10,74 +8,11 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/parse_num.hpp"
-#include "common/report_emit.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim::machine {
 
 namespace {
-
-std::string format_int(int v) { return strfmt("%d", v); }
-
-/// Canonical emitter: fixed order, 2-space indent, one "key": value per
-/// line. Kept dumb on purpose — the byte-stability contract lives here.
-class Emitter {
- public:
-  std::string finish() && {
-    // Drop the final member's trailing ",\n" before closing the root object.
-    out_.erase(out_.size() - 2);
-    out_ += "\n}\n";
-    return std::move(out_);
-  }
-
-  void open(const char* key) {
-    line_start(key);
-    out_ += "{\n";
-    ++indent_;
-  }
-  void close() {
-    // Drop the trailing ",\n" of the last member before closing the block.
-    out_.erase(out_.size() - 2);
-    out_.push_back('\n');
-    --indent_;
-    out_.append(static_cast<std::size_t>(indent_) * 2, ' ');
-    out_ += "},\n";
-  }
-
-  void str(const char* key, const std::string& v) {
-    line_start(key);
-    out_ += '"' + json_escape(v) + '"';
-    out_ += ",\n";
-  }
-  void num(const char* key, double v) {
-    line_start(key);
-    out_ += format_double(v);
-    out_ += ",\n";
-  }
-  void num(const char* key, int v) {
-    line_start(key);
-    out_ += format_int(v);
-    out_ += ",\n";
-  }
-  void boolean(const char* key, bool v) {
-    line_start(key);
-    out_ += v ? "true" : "false";
-    out_ += ",\n";
-  }
-
- private:
-  void line_start(const char* key) {
-    out_.append(static_cast<std::size_t>(indent_) * 2, ' ');
-    if (key != nullptr) {
-      out_.push_back('"');
-      out_ += key;
-      out_ += "\": ";
-    }
-  }
-
-  std::string out_ = "{\n";
-  int indent_ = 1;
-};
 
 [[noreturn]] void fail(const std::string& what, std::size_t offset) {
   throw Error("processor descriptor: " + what +
@@ -198,78 +133,71 @@ CacheLevel read_cache(const json::Value& v, const std::string& path,
 
 }  // namespace
 
-std::string format_double(double v) {
-  // Shortest %.{p}g form whose strtod round-trip is bit-exact; 17 significant
-  // digits always suffice for IEEE-754 binary64.
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::string s = strfmt("%.*g", prec, v);
-    if (std::strtod(s.c_str(), nullptr) == v) return s;
-  }
-  return strfmt("%.17g", v);
-}
-
 std::string to_descriptor(const ProcessorConfig& cfg) {
-  Emitter e;
-  e.str("format", std::string(kDescriptorFormat));
-  e.str("name", cfg.name);
-  e.open("shape");
-  e.num("sockets", cfg.shape.sockets);
-  e.num("numa_per_socket", cfg.shape.numa_per_socket);
-  e.num("cores_per_numa", cfg.shape.cores_per_numa);
-  e.close();
-  e.num("freq_hz", cfg.freq_hz);
-  e.num("boost_freq_hz", cfg.boost_freq_hz);
-  e.open("vec");
-  e.str("name", cfg.vec.name);
-  e.num("vector_bits", cfg.vec.vector_bits);
-  e.boolean("has_fma", cfg.vec.has_fma);
-  e.num("gather_lanes_per_cycle", cfg.vec.gather_lanes_per_cycle);
-  e.boolean("has_predication", cfg.vec.has_predication);
-  e.close();
-  e.num("fp_pipes", cfg.fp_pipes);
-  e.num("fp_latency_cycles", cfg.fp_latency_cycles);
-  e.num("scalar_ipc", cfg.scalar_ipc);
-  e.num("mem_overlap", cfg.mem_overlap);
-  e.num("branch_miss_penalty_cycles", cfg.branch_miss_penalty_cycles);
-  e.open("l1");
-  e.num("capacity_bytes", cfg.l1.capacity_bytes);
-  e.num("bytes_per_cycle", cfg.l1.bytes_per_cycle);
-  e.num("latency_cycles", cfg.l1.latency_cycles);
-  e.close();
-  e.open("l2");
-  e.num("capacity_bytes", cfg.l2.capacity_bytes);
-  e.num("bytes_per_cycle", cfg.l2.bytes_per_cycle);
-  e.num("latency_cycles", cfg.l2.latency_cycles);
-  e.close();
-  e.num("numa_mem_bw", cfg.numa_mem_bw);
-  e.num("numa_mem_latency_ns", cfg.numa_mem_latency_ns);
-  e.num("inter_numa_bw", cfg.inter_numa_bw);
-  e.num("inter_numa_latency_ns", cfg.inter_numa_latency_ns);
-  e.num("inter_socket_bw", cfg.inter_socket_bw);
-  e.num("inter_socket_latency_ns", cfg.inter_socket_latency_ns);
-  e.open("net");
-  e.num("injection_bw", cfg.net.injection_bw);
-  e.num("link_bw", cfg.net.link_bw);
-  e.num("base_latency_us", cfg.net.base_latency_us);
-  e.num("hop_latency_ns", cfg.net.hop_latency_ns);
-  e.close();
-  e.num("intra_node_msg_latency_ns", cfg.intra_node_msg_latency_ns);
-  e.open("barrier");
-  e.num("hop_ns_same_numa", cfg.barrier_hop_ns_same_numa);
-  e.num("hop_ns_cross_numa", cfg.barrier_hop_ns_cross_numa);
-  e.num("hop_ns_cross_socket", cfg.barrier_hop_ns_cross_socket);
-  e.close();
-  e.open("power");
-  e.num("watts_base", cfg.watts_base);
-  e.num("watts_per_core_active", cfg.watts_per_core_active);
-  e.num("watts_per_GBps_dram", cfg.watts_per_GBps_dram);
-  e.num("freq_power_exponent", cfg.freq_power_exponent);
-  e.close();
-  e.open("eco");
-  e.num("fp_pipes", cfg.eco_fp_pipes);
-  e.num("core_power_scale", cfg.eco_core_power_scale);
-  e.close();
-  return std::move(e).finish();
+  // Canonical form: fixed key order, indented layout, shortest round-trip
+  // doubles. The byte-stability contract lives here.
+  json::Writer w(json::Writer::Layout::kIndented);
+  const auto num = [&w](const char* key, double v) { w.key(key).shortest(v); };
+  const auto open = [&w](const char* key) { w.key(key).begin_object(); };
+  w.begin_object();
+  w.field("format", kDescriptorFormat);
+  w.field("name", cfg.name);
+  open("shape");
+  w.field("sockets", cfg.shape.sockets);
+  w.field("numa_per_socket", cfg.shape.numa_per_socket);
+  w.field("cores_per_numa", cfg.shape.cores_per_numa);
+  w.end_object();
+  num("freq_hz", cfg.freq_hz);
+  num("boost_freq_hz", cfg.boost_freq_hz);
+  open("vec");
+  w.field("name", cfg.vec.name);
+  w.field("vector_bits", cfg.vec.vector_bits);
+  w.field("has_fma", cfg.vec.has_fma);
+  num("gather_lanes_per_cycle", cfg.vec.gather_lanes_per_cycle);
+  w.field("has_predication", cfg.vec.has_predication);
+  w.end_object();
+  w.field("fp_pipes", cfg.fp_pipes);
+  num("fp_latency_cycles", cfg.fp_latency_cycles);
+  num("scalar_ipc", cfg.scalar_ipc);
+  num("mem_overlap", cfg.mem_overlap);
+  num("branch_miss_penalty_cycles", cfg.branch_miss_penalty_cycles);
+  for (const CacheLevel* level : {&cfg.l1, &cfg.l2}) {
+    open(level == &cfg.l1 ? "l1" : "l2");
+    num("capacity_bytes", level->capacity_bytes);
+    num("bytes_per_cycle", level->bytes_per_cycle);
+    num("latency_cycles", level->latency_cycles);
+    w.end_object();
+  }
+  num("numa_mem_bw", cfg.numa_mem_bw);
+  num("numa_mem_latency_ns", cfg.numa_mem_latency_ns);
+  num("inter_numa_bw", cfg.inter_numa_bw);
+  num("inter_numa_latency_ns", cfg.inter_numa_latency_ns);
+  num("inter_socket_bw", cfg.inter_socket_bw);
+  num("inter_socket_latency_ns", cfg.inter_socket_latency_ns);
+  open("net");
+  num("injection_bw", cfg.net.injection_bw);
+  num("link_bw", cfg.net.link_bw);
+  num("base_latency_us", cfg.net.base_latency_us);
+  num("hop_latency_ns", cfg.net.hop_latency_ns);
+  w.end_object();
+  num("intra_node_msg_latency_ns", cfg.intra_node_msg_latency_ns);
+  open("barrier");
+  num("hop_ns_same_numa", cfg.barrier_hop_ns_same_numa);
+  num("hop_ns_cross_numa", cfg.barrier_hop_ns_cross_numa);
+  num("hop_ns_cross_socket", cfg.barrier_hop_ns_cross_socket);
+  w.end_object();
+  open("power");
+  num("watts_base", cfg.watts_base);
+  num("watts_per_core_active", cfg.watts_per_core_active);
+  num("watts_per_GBps_dram", cfg.watts_per_GBps_dram);
+  num("freq_power_exponent", cfg.freq_power_exponent);
+  w.end_object();
+  open("eco");
+  w.field("fp_pipes", cfg.eco_fp_pipes);
+  num("core_power_scale", cfg.eco_core_power_scale);
+  w.end_object();
+  w.end_object();
+  return std::move(w).take();
 }
 
 ProcessorConfig parse_descriptor(std::string_view text) {

@@ -30,15 +30,19 @@ void open_mailboxes(detail::JobState& state, int slots) {
   state.ranks = slots;
   state.job_id = g_next_job_id.fetch_add(1, std::memory_order_relaxed);
   state.mailboxes.reserve(static_cast<std::size_t>(slots));
+  state.finished = std::make_unique<std::atomic<bool>[]>(
+      static_cast<std::size_t>(slots));
   for (int s = 0; s < slots; ++s) {
     state.mailboxes.push_back(std::make_unique<Mailbox>());
     state.mailboxes.back()->set_identity(state.job_id, s);
+    state.mailboxes.back()->set_senders(state.finished.get());
   }
 }
 
 /// Runs `fn` on one thread per slot of `state` (slot 0 on the caller) under
 /// the Comm that `make_comm(slot)` builds, joins, and returns the per-slot
-/// logs. A slot that throws poisons every mailbox so blocked slots unwind.
+/// logs. A slot that throws poisons every mailbox, and every slot that ends
+/// in a failing job re-poisons them, so slots blocked on it unwind.
 template <typename MakeComm>
 std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
                                const MakeComm& make_comm) {
@@ -57,8 +61,13 @@ std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
         std::lock_guard<std::mutex> lock(error_mutex);
         errors[static_cast<std::size_t>(slot)] = std::current_exception();
       }
-      failed.store(true, std::memory_order_release);
-      // Unblock every slot waiting in recv.
+      failed.store(true);
+    }
+    // Sequentially consistent with the failed flag: either a failing slot's
+    // poison sees this slot finished, or this slot sees the failure and
+    // wakes the slots waiting on it itself.
+    state.finished[static_cast<std::size_t>(slot)].store(true);
+    if (failed.load()) {
       for (auto& mbox : state.mailboxes) mbox->poison();
     }
     logs[static_cast<std::size_t>(slot)] = comm.log();
@@ -70,10 +79,11 @@ std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
   body(0);
   for (std::thread& t : threads) t.join();
 
-  if (failed.load(std::memory_order_acquire)) {
+  if (failed.load()) {
     // Deterministic pick: best (lowest) ErrorClass, ties to the lowest slot.
-    // Which *set* of slots failed can vary run to run (poison cascades race),
-    // but the root-cause classes are stable, so the winner's class is too.
+    // Which *set* of slots unwound as poisoned can vary run to run (a
+    // kAnySource receive still races the poison), but the root-cause
+    // classes are stable, so the winner's class is too.
     std::exception_ptr best;
     fault::ErrorClass best_class = fault::ErrorClass::kPoison;
     for (const std::exception_ptr& error : errors) {

@@ -1,11 +1,12 @@
 // Job — runs an SPMD function on N ranks, each on its own thread.
 //
 // This is the "mpiexec" of the in-process runtime. If any rank throws, every
-// mailbox is poisoned so blocked ranks unwind, and one exception is rethrown
-// to the caller after all ranks have joined. The rethrown error is chosen
+// mailbox is poisoned so ranks blocked on a message that can never arrive
+// unwind (a queued message, or one from a rank still running, is still
+// received — see Mailbox::pop), and one exception is rethrown to the caller
+// after all ranks have joined. The rethrown error is chosen
 // deterministically — by fault::ErrorClass priority, then by lowest rank —
-// so a job that fails the same way always reports the same root cause, even
-// though the poison-unwind cascade itself races.
+// so a job that fails the same way always reports the same root cause.
 //
 // A fault::Session may be attached to a run: it drives message
 // drop/delay/duplication on every send path (user p2p and collective
@@ -14,6 +15,7 @@
 // per operation.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,6 +34,8 @@ class RankSymmetry;
 namespace detail {
 struct JobState {
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
+  /// finished[s] turns true when slot s's rank function returns or throws.
+  std::unique_ptr<std::atomic<bool>[]> finished;
   int ranks = 0;
   /// Diagnostic id (process-wide counter); labels watchdog reports only.
   int job_id = -1;

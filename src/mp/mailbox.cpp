@@ -65,7 +65,6 @@ Message Mailbox::pop(int source, int tag) {
   WaitGuard guard;
   std::chrono::steady_clock::time_point wait_start{};
   while (true) {
-    if (poisoned_) throw Error("mp job aborted: mailbox poisoned");
     const auto it = find_bucket(source, tag);
     if (it != buckets_.end()) {
       Message out = std::move(it->second.front().message);
@@ -73,6 +72,12 @@ Message Mailbox::pop(int source, int tag) {
       if (it->second.empty()) buckets_.erase(it);
       --size_;
       return out;
+    }
+    // A failing job unwinds a receive only once it can never match: a live
+    // source may still send, so its receiver runs on to its own error.
+    if (poisoned_ && (source == kAnySource || finished_ == nullptr ||
+                      finished_[source].load())) {
+      throw Error("mp job aborted: mailbox poisoned");
     }
 
     // Nothing matching yet. The plain path (no watchdog, no fault timeout)
@@ -128,6 +133,11 @@ void Mailbox::poison() {
     poisoned_ = true;
   }
   cv_.notify_all();
+}
+
+void Mailbox::set_senders(const std::atomic<bool>* finished) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  finished_ = finished;
 }
 
 std::size_t Mailbox::pending() const {

@@ -6,8 +6,9 @@
 // present. Delivery never copies payload bytes: the one allocation + memcpy
 // happens at the send site, and fan-out paths share that allocation. MPI ordering semantics hold:
 // messages from the same source with the same tag are received in send order.
-// poison() aborts every pending and future receive, which Job uses to unwind
-// all ranks when one rank throws.
+// poison() aborts the receives that can no longer be satisfied, which Job
+// uses to unwind all ranks when one rank throws; a queued match, or one
+// from a rank still running, is still received (see pop()).
 //
 // Matching is indexed: messages are stored in per-(source, tag) FIFO buckets
 // keyed for O(log buckets) exact-match receives — the common case on the
@@ -23,6 +24,7 @@
 // tag). With no watchdog and no timeout, pop waits exactly as before.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -51,14 +53,19 @@ class Mailbox {
 
   /// Block until a message matching (source, tag) arrives and return it.
   /// kAnySource / kAnyTag match anything. Throws fibersim::Error if the
-  /// mailbox is poisoned while waiting.
+  /// mailbox is poisoned, holds no match, and the source has finished (or
+  /// is kAnySource, or no sender state is attached).
   Message pop(int source, int tag);
 
   /// Non-blocking probe: true if a matching message is queued.
   bool probe(int source, int tag) const;
 
-  /// Wake all waiters with an error; further pops throw immediately.
+  /// Mark the job failed and wake every waiter to re-check (see pop()).
   void poison();
+
+  /// Attach the job's per-rank "finished" flags: finished[s] is true once
+  /// rank s can send nothing more. Must outlive the mailbox's pops.
+  void set_senders(const std::atomic<bool>* finished);
 
   /// Queued message count (diagnostics/tests).
   std::size_t pending() const;
@@ -91,6 +98,7 @@ class Mailbox {
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
   bool poisoned_ = false;
+  const std::atomic<bool>* finished_ = nullptr;
   int job_ = -1;
   int rank_ = -1;
   double recv_timeout_s_ = 0.0;

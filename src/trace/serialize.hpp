@@ -1,5 +1,5 @@
-// Serialization of traces and predictions to JSON (hand-rolled, no
-// dependencies) so external tooling — plotting scripts, regression diffing —
+// Serialization of traces and predictions to compact JSON (through
+// json::Writer) so external tooling — plotting scripts, regression diffing —
 // can consume the framework's raw data. `fibersim run --json` and
 // `--dump-trace` are built on these.
 #pragma once

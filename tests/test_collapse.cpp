@@ -8,6 +8,7 @@
 // 10^5-10^6 ranks where the full path cannot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "common/rng.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
+#include "machine/descriptor.hpp"
 #include "machine/processor.hpp"
 #include "miniapps/miniapp.hpp"
 #include "mp/job.hpp"
@@ -156,6 +158,34 @@ std::vector<machine::ProcessorConfig> processors_with_modes() {
 constexpr int kSeededCases = 12;
 constexpr std::uint64_t kCaseSeed = 20210917;
 
+/// `p` with every real-valued parameter scaled by a seeded factor in
+/// [0.8, 1.25) and clamped into validate()'s ranges: a processor no
+/// built-in matches, for the descriptor round trip and all three paths.
+machine::ProcessorConfig perturbed(machine::ProcessorConfig p,
+                                   Xoshiro256& rng) {
+  for (double* v :
+       {&p.freq_hz, &p.boost_freq_hz, &p.vec.gather_lanes_per_cycle,
+        &p.fp_latency_cycles, &p.scalar_ipc, &p.mem_overlap,
+        &p.branch_miss_penalty_cycles, &p.l1.capacity_bytes,
+        &p.l1.bytes_per_cycle, &p.l1.latency_cycles, &p.l2.capacity_bytes,
+        &p.l2.bytes_per_cycle, &p.l2.latency_cycles, &p.numa_mem_bw,
+        &p.numa_mem_latency_ns, &p.inter_numa_bw, &p.inter_numa_latency_ns,
+        &p.inter_socket_bw, &p.inter_socket_latency_ns, &p.net.injection_bw,
+        &p.net.link_bw, &p.net.base_latency_us, &p.net.hop_latency_ns,
+        &p.intra_node_msg_latency_ns, &p.barrier_hop_ns_same_numa,
+        &p.barrier_hop_ns_cross_numa, &p.barrier_hop_ns_cross_socket,
+        &p.watts_base, &p.watts_per_core_active, &p.watts_per_GBps_dram,
+        &p.freq_power_exponent, &p.eco_core_power_scale}) {
+    *v *= rng.uniform(0.8, 1.25);
+  }
+  p.fp_latency_cycles = std::max(p.fp_latency_cycles, 1.0);
+  p.mem_overlap = std::min(p.mem_overlap, 1.0);
+  p.freq_power_exponent = std::max(p.freq_power_exponent, 1.0);
+  p.eco_core_power_scale = std::min(p.eco_core_power_scale, 1.0);
+  p.validate();
+  return p;
+}
+
 std::vector<CollapseCase> all_cases() {
   std::vector<CollapseCase> cases;
   const std::vector<std::string> names = apps::registry_names();
@@ -200,6 +230,10 @@ std::vector<CollapseCase> all_cases() {
     c.label += std::to_string(c.ranks) + "x" + std::to_string(c.threads) + "_";
     cases.push_back(std::move(c));
   }
+  // Drawn after every other field so those keep their values.
+  for (std::size_t i = cases.size() - kSeededCases; i < cases.size(); ++i) {
+    cases[i].processor = perturbed(cases[i].processor, rng);
+  }
   return cases;
 }
 
@@ -234,7 +268,12 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
   const trace::CollapsedTrace collapsed =
       run_collapsed(c.app, c.dataset, c.ranks, c.threads);
 
-  const machine::ProcessorConfig& cfg = c.processor;
+  // Every processor goes through its descriptor first: the shortest-form
+  // doubles must read back bit-exactly, or the paths below would disagree
+  // with the processor the case was drawn with.
+  const machine::ProcessorConfig cfg =
+      machine::parse_descriptor(machine::to_descriptor(c.processor));
+  ASSERT_TRUE(cfg == c.processor) << machine::to_descriptor(c.processor);
   const cg::CompileOptions& opts = c.compile;
   const topo::Topology topo(cfg.shape, c.nodes);
   const topo::Binding binding =

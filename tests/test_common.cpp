@@ -2,10 +2,12 @@
 // strings, tables, aligned buffers, the exact memo.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <optional>
 #include <sstream>
 
 #include "common/aligned_buffer.hpp"
@@ -381,6 +383,8 @@ TEST(ReportEmit, JsonEscapeCoversControlCharacters) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
 }
 
 // ----- aligned buffers -----
@@ -549,6 +553,194 @@ TEST(Json, ReportsByteOffsets) {
   std::string error;
   EXPECT_FALSE(json::parse(R"({"a":bogus})", &error));
   EXPECT_NE(error.find("at byte"), std::string::npos);
+}
+
+// ----- JSON writer -----
+
+TEST(JsonWriter, CompactLayoutHasNoWhitespace) {
+  json::Writer w;
+  w.begin_object()
+      .field("s", "a\"b")
+      .field("n", 0.5)
+      .field("i", -3)
+      .field("b", false)
+      .key("z")
+      .null()
+      .key("a")
+      .begin_array()
+      .value(1)
+      .begin_object()
+      .end_object()
+      .end_array()
+      .key("r")
+      .raw("1.0")
+      .end_object();
+  EXPECT_EQ(std::move(w).take(),
+            R"({"s":"a\"b","n":0.5,"i":-3,"b":false,"z":null,"a":[1,{}],)"
+            R"("r":1.0})");
+}
+
+TEST(JsonWriter, IndentedLayoutMatchesTheReportAndDescriptorForm) {
+  json::Writer w(json::Writer::Layout::kIndented);
+  w.begin_object().field("id", "X").key("nested").begin_object();
+  w.key("x").shortest(0.1);
+  w.end_object().key("empty").begin_array().end_array();
+  w.key("row").begin_array(/*one_line=*/true).value("a").value("b");
+  w.end_array().key("items").begin_array();
+  w.begin_object(/*one_line=*/true).field("k", 1).key("v");
+  w.begin_array().value(2).end_array();  // inherits one-line
+  w.end_object().end_array().end_object();
+  EXPECT_EQ(std::move(w).take(),
+            "{\n"
+            "  \"id\": \"X\",\n"
+            "  \"nested\": {\n"
+            "    \"x\": 0.1\n"
+            "  },\n"
+            "  \"empty\": [],\n"
+            "  \"row\": [\"a\", \"b\"],\n"
+            "  \"items\": [\n"
+            "    {\"k\": 1, \"v\": [2]}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(JsonWriter, NumberFormsMatchPrintf) {
+  for (const double v : {0.1, 1.0 / 3.0, 2.2e9, 6000.0, -0.0, 1e-300,
+                         4.9e-324, std::numeric_limits<double>::max()}) {
+    json::Writer g;
+    EXPECT_EQ(std::move(g.value(v)).take(), strfmt("%.17g", v));
+    // Shortest: the first %.{p}g that reads back to the same bits.
+    std::string expect = strfmt("%.17g", v);
+    for (int p = 1; p <= 17; ++p) {
+      const std::string s = strfmt("%.*g", p, v);
+      if (std::strtod(s.c_str(), nullptr) == v) {
+        expect = s;
+        break;
+      }
+    }
+    json::Writer s;
+    EXPECT_EQ(std::move(s.shortest(v)).take(), expect);
+  }
+}
+
+TEST(JsonWriter, NonFiniteNumbersThrow) {
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    json::Writer g;
+    EXPECT_THROW(g.value(v), Error);
+    json::Writer s;
+    EXPECT_THROW(s.shortest(v), Error);
+  }
+}
+
+TEST(JsonWriter, UnbalancedDocumentsAreRejected) {
+  json::Writer open;
+  open.begin_array();
+  EXPECT_THROW(std::move(open).take(), Error);
+  json::Writer close;
+  EXPECT_THROW(close.end_object(), Error);
+}
+
+/// A seeded string over the bytes JSON writers get wrong: every control
+/// byte, quotes, backslashes, and multi-byte UTF-8.
+std::string random_string(Xoshiro256& rng) {
+  static const std::string kPieces[] = {"\"", "\\", "/", "a", " ", "\x7f",
+                                        "\xC3\xA9", "\xE2\x82\xAC",
+                                        "\xF0\x9F\x98\x80"};
+  std::string s;
+  const std::uint64_t n = rng.bounded(12);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (rng.bounded(2) == 0) {
+      s += static_cast<char>(rng.bounded(0x20));
+    } else {
+      s += kPieces[rng.bounded(std::size(kPieces))];
+    }
+  }
+  return s;
+}
+
+/// A seeded finite double: edge values, or a random bit pattern.
+double random_double(Xoshiro256& rng) {
+  static const double kEdges[] = {0.0,
+                                  -0.0,
+                                  1e-300,
+                                  4.9e-324,
+                                  2.2250738585072014e-308,
+                                  1e-310,
+                                  std::numeric_limits<double>::max(),
+                                  -std::numeric_limits<double>::max(),
+                                  0.1,
+                                  1.0 / 3.0};
+  if (rng.bounded(4) == 0) return kEdges[rng.bounded(std::size(kEdges))];
+  while (true) {
+    const double v = std::bit_cast<double>(rng.next());
+    if (std::isfinite(v)) return v;
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(JsonWriter, SeededDocumentsRoundTripThroughTheParser) {
+  Xoshiro256 rng(20240607);
+  for (int doc = 0; doc < 300; ++doc) {
+    SCOPED_TRACE("doc " + std::to_string(doc));
+    std::vector<std::string> strings;
+    std::vector<double> doubles;
+    std::vector<std::uint64_t> u64s;
+    std::vector<std::int64_t> i64s;
+    for (int i = 0; i < 6; ++i) {
+      strings.push_back(random_string(rng));
+      doubles.push_back(random_double(rng));
+      u64s.push_back(i == 0 ? std::numeric_limits<std::uint64_t>::max()
+                            : rng.next());
+      i64s.push_back(i == 0 ? std::numeric_limits<std::int64_t>::min()
+                            : static_cast<std::int64_t>(rng.next()));
+    }
+    for (const auto layout :
+         {json::Writer::Layout::kCompact, json::Writer::Layout::kIndented}) {
+      json::Writer w(layout);
+      w.begin_object();
+      for (std::size_t i = 0; i < strings.size(); ++i) {
+        // Keys are escaped too; a numeric suffix keeps them distinct.
+        w.key(strings[i] + "#" + std::to_string(i)).value(strings[i]);
+      }
+      w.key("g").begin_array(rng.bounded(2) == 0);
+      for (const double v : doubles) w.value(v);
+      w.end_array().key("s").begin_array();
+      for (const double v : doubles) w.shortest(v);
+      w.end_array().key("u").begin_array();
+      for (const std::uint64_t v : u64s) w.value(v);
+      w.end_array().key("i").begin_array();
+      for (const std::int64_t v : i64s) w.value(v);
+      w.end_array().end_object();
+      const std::string text = std::move(w).take();
+
+      std::string error;
+      const std::optional<json::Value> root = json::parse(text, &error);
+      ASSERT_TRUE(root) << error << "\n" << text;
+      const json::Members& m = root->members();
+      ASSERT_EQ(m.size(), strings.size() + 4);
+      for (std::size_t i = 0; i < strings.size(); ++i) {
+        EXPECT_EQ(m[i].first, strings[i] + "#" + std::to_string(i));
+        EXPECT_EQ(m[i].second.as_string(), strings[i]);
+      }
+      for (const char* key : {"g", "s"}) {
+        const json::Items& items = root->find(key)->items();
+        ASSERT_EQ(items.size(), doubles.size());
+        for (std::size_t i = 0; i < doubles.size(); ++i) {
+          EXPECT_EQ(bits(*parse_f64(items[i].raw_number())), bits(doubles[i]))
+              << key << " " << items[i].raw_number();
+        }
+      }
+      const json::Items& us = root->find("u")->items();
+      const json::Items& is = root->find("i")->items();
+      for (std::size_t i = 0; i < u64s.size(); ++i) {
+        EXPECT_EQ(parse_u64(us[i].raw_number()), u64s[i]);
+        EXPECT_EQ(parse_i64(is[i].raw_number()), i64s[i]);
+      }
+    }
+  }
 }
 
 // ----- exact memo -----

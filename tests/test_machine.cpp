@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "machine/calibrate.hpp"
 #include "machine/comm_model.hpp"
@@ -799,7 +800,9 @@ TEST(Descriptor, GoldenFilesMatchTheConstructors) {
 TEST(Descriptor, FormatDoubleRoundTripsExactly) {
   // The L2 capacity is the nastiest builtin double: 8 MiB / 12 cores.
   for (const double v : {8.0 * 1024 * 1024 / 12.0, 2.2e9, 0.1, 1.0 / 3.0}) {
-    EXPECT_EQ(std::strtod(format_double(v).c_str(), nullptr), v);
+    json::Writer w;
+    const std::string text = std::move(w.shortest(v)).take();
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), v);
   }
 }
 

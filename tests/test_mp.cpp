@@ -450,6 +450,10 @@ TEST(Mailbox, PoisonUnblocksWildcardWaiter) {
   box.poison();
   waiter.join();
   EXPECT_THROW((void)box.pop(0, 0), Error);
+  // A message queued after the poison is still delivered.
+  box.push(mbox::make(0, 7, 1));
+  EXPECT_EQ(box.pop(0, 7).tag, 7);
+  EXPECT_THROW((void)box.pop(0, 7), Error);
 }
 
 // ----- comm log -----

@@ -3,7 +3,9 @@
 // crash-durability (fsync-before-ack + torn-tail truncation at EVERY byte
 // offset), and the client retry policy. The end-to-end behaviours these
 // primitives compose into live in test_serve.cpp and bench/perf_resilience.
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -394,6 +396,126 @@ TEST(JournalDurability, SurvivesTruncationAtEveryByteOffset) {
   }
   std::remove(full_path.c_str());
   std::remove(cut_path.c_str());
+}
+
+// ----- journal line format ------------------------------------------------
+
+// A line recorded for journal_config(2, 7) by the journal's earlier
+// hand-rolled writer. Loading it and recording the result back must give
+// the same bytes: old journals stay readable and the format has not moved.
+const std::string kRecordedLine =
+    R"j({"v":1,"key":"84fd5d00c4bf9f7c","label":"ffvc/small 2x1 block/compac)j"
+    R"j(t [simd+,swp] on A64FX","verified":1,"check_value":"c0b7a10adde70f3c)j"
+    R"j(","check_desc":"SOR energy functional (must decrease)","power":["404)j"
+    R"j(aac8dbe3d99fa","3f53ee3091f19931","3fdd179c4aa96d59"],"agg":["3ef7e8)j"
+    R"j(ef8c22344a","3ef355aa22f61b9e","3ed95dfd94c958d8","3ec04efa058c7e4b")j"
+    R"j(,"0000000000000000","4120e00000000000","4137a00000000000","3ee5331ee)j"
+    R"j(4925366"],"nphases":4,"phases":[["init",0,"0000000000000000","3ee533)j"
+    R"j(1ee4925366","3ee4d65971131b46","3e9cfdb417c18a1b","0000000000000000")j"
+    R"j(,"3ee5331ee4925366",0,"4104400000000000","40fb000000000000","0000000)j"
+    R"j(000000000","0000000000000000"],["diagnose",1,"3eb557bc3abf7fc4","3ee)j"
+    R"j(5588dd2ea5cd2","3ee13a807d958c58","3ebcfdb417c18a1b","00000000000000)j"
+    R"j(00","3ee2ad964b926cd9",0,"4110e00000000000","411b000000000000","0000)j"
+    R"j(000000000000","3eaa56fd1bad23b6"],["sor",1,"3ea68c6fa0b2f9a4","3ee05)j"
+    R"j(6706c52225d","3edbaeb22f9294c3","3eb5be4711d12794","0000000000000000)j"
+    R"j(","3edddb52e48de585",0,"4102900000000000","4114400000000000","000000)j"
+    R"j(0000000000","0000000000000000"],["project",1,"0000000000000000","3ed)j"
+    R"j(445c1b20fd2ca","3ece65eac235820a","3ec95dfd94c958d8","00000000000000)j"
+    R"j(00","3ed445c1b20fd2ca",0,"40fe600000000000","4127a00000000000","0000)j"
+    R"j(000000000000","0000000000000000"]]})j";
+
+TEST(JournalFormat, RecordedLineLoadsAndRecordsBackByteIdentically) {
+  const std::string in_path = ::testing::TempDir() + "fibersim_jf_in.jsonl";
+  const std::string out_path = ::testing::TempDir() + "fibersim_jf_out.jsonl";
+  write_file(in_path, kRecordedLine + "\n");
+  std::remove(out_path.c_str());
+  const ExperimentConfig cfg = journal_config(2, 7);
+  ExperimentResult back;
+  {
+    SweepJournal journal(in_path);
+    ASSERT_EQ(journal.loaded(), 1u);
+    ASSERT_TRUE(journal.lookup(cfg, &back));
+  }
+  EXPECT_TRUE(back.verified);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.check_value),
+            0xc0b7a10adde70f3cULL);
+  EXPECT_EQ(back.check_description, "SOR energy functional (must decrease)");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.prediction.total_s),
+            0x3ef7e8ef8c22344aULL);
+  ASSERT_EQ(back.prediction.phases.size(), 4u);
+  EXPECT_EQ(back.prediction.phases[1].name, "diagnose");
+  EXPECT_FALSE(back.prediction.phases[0].timed);
+  {
+    SweepJournal journal(out_path);
+    ASSERT_TRUE(journal.record(cfg, back));
+  }
+  EXPECT_EQ(read_file(out_path), kRecordedLine + "\n");
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+}
+
+TEST(JournalFormat, MalformedLinesAreSkippedWithoutCrashing) {
+  const auto edit = [](const std::string& from, const std::string& to) {
+    std::string line = kRecordedLine;
+    const std::size_t pos = line.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return pos == std::string::npos ? line : line.replace(pos, from.size(), to);
+  };
+  const std::string label =
+      R"("label":"ffvc/small 2x1 block/compact [simd+,swp] on A64FX",)";
+  const std::pair<const char*, std::string> cases[] = {
+      {"raw control byte", edit("ffvc/small", "ffvc\x01small")},
+      {"reordered keys", edit(label + R"("verified":1,)",
+                              R"("verified":1,)" + label)},
+      {"duplicate key", edit(R"("v":1,)", R"("v":1,"v":1,)")},
+      {"wrong type", edit(R"("verified":1)", R"("verified":"1")")},
+      {"non-hex double", edit("c0b7a10adde70f3c", "c0b7a10adde70f3g")},
+      {"unknown version", edit(R"("v":1)", R"("v":2)")},
+      {"negative integer", edit(R"("verified":1)", R"("verified":-1)")},
+      {"limiter out of range",
+       edit(R"("3ee5331ee4925366",0,"4104400000000000")",
+            R"("3ee5331ee4925366",4,"4104400000000000")")},
+      {"phase count mismatch", edit(R"("nphases":4)", R"("nphases":3)")},
+      {"short power array",
+       edit(R"(,"3fdd179c4aa96d59"])", "]")},
+      {"not an object", "[1,2,3]"},
+      {"truncated", kRecordedLine.substr(0, 300)},
+  };
+  const std::string path = ::testing::TempDir() + "fibersim_jf_bad.jsonl";
+  for (const auto& [what, line] : cases) {
+    SCOPED_TRACE(what);
+    // The bad line is skipped; the good record after it still loads.
+    write_file(path, line + "\n" + kRecordedLine + "\n");
+    SweepJournal journal(path);
+    EXPECT_EQ(journal.loaded(), 1u);
+    ExperimentResult back;
+    EXPECT_TRUE(journal.lookup(journal_config(2, 7), &back));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(JournalFormat, ControlBytesInStringsRoundTrip) {
+  const std::string path = ::testing::TempDir() + "fibersim_jf_ctl.jsonl";
+  std::remove(path.c_str());
+  const ExperimentConfig cfg = journal_config(2, 7);
+  ExperimentResult odd;
+  odd.check_description = "a\x01\x1f\"\\\tb";
+  odd.check_description += '\0';
+  {
+    SweepJournal journal(path);
+    ASSERT_TRUE(journal.record(cfg, odd));
+  }
+  const std::string bytes = read_file(path);
+  ASSERT_FALSE(bytes.empty());
+  for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(bytes[i]), 0x20) << "at byte " << i;
+  }
+  SweepJournal reopened(path);
+  ASSERT_EQ(reopened.loaded(), 1u);
+  ExperimentResult back;
+  ASSERT_TRUE(reopened.lookup(cfg, &back));
+  EXPECT_EQ(back.check_description, odd.check_description);
+  std::remove(path.c_str());
 }
 
 // ----- client retry policy ------------------------------------------------

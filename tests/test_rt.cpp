@@ -120,6 +120,38 @@ TEST(Team, InjectedWorkerFaultReportsTheSameErrorEveryRun) {
       << *messages.begin();
 }
 
+TEST(Team, InjectedWorkerFaultOnAHaloAppReportsStreamZeroEveryRun) {
+  // ffvc exchanges halos before its first region, so a rank's input may
+  // already be queued when another rank's failure poisons the mailboxes.
+  // A poisoned receive still gets its queued or yet-to-be-sent message, so
+  // every rank runs to its own fault site and the job's lowest-rank error
+  // is rank 0's, run after run. A poisoned receive that lost the race shows
+  // in well under 1% of runs, hence many cheap runs.
+  fault::ScopedPlan scoped(fault::Plan::parse("rt.throw=1"));
+  core::ExperimentConfig cfg;
+  cfg.app = "ffvc";
+  cfg.dataset = apps::Dataset::kSmall;
+  cfg.ranks = 4;
+  cfg.threads = 12;
+  cfg.iterations = 1;
+  std::set<std::string> messages;
+  for (int run = 0; run < 600; ++run) {
+    core::Runner runner;
+    try {
+      (void)runner.run(cfg);
+      ADD_FAILURE() << "an injected worker fault must fail the run";
+    } catch (const Error& e) {
+      messages.insert(e.what());
+    }
+  }
+  std::string all;
+  for (const std::string& m : messages) all += m + "\n";
+  ASSERT_EQ(messages.size(), 1u) << all;
+  EXPECT_NE(messages.begin()->find("worker 0 throw in region 1 of stream 0"),
+            std::string::npos)
+      << *messages.begin();
+}
+
 // ----- parallel_for coverage: every index exactly once, any schedule -----
 
 struct ForCase {

@@ -152,8 +152,17 @@ TEST(ServeCodec, ResponseShapes) {
             R"({"ok":false,"code":"BUSY","error":"full"})");
   EXPECT_EQ(serve_error_response(kCodeBadRequest, "a\"b", "x\ny"),
             R"({"ok":false,"id":"a\"b","code":"BAD_REQUEST","error":"x\ny"})");
-  EXPECT_EQ(serve_ok_prefix("ping", "7") + ",\"payload\":\"pong\"}",
+  EXPECT_EQ(serve_ok_finish(serve_ok_begin("ping", "7"), "\"pong\""),
             R"({"ok":true,"id":"7","verb":"ping","payload":"pong"})");
+  json::Writer predict = serve_ok_begin("predict", "");
+  predict.field("tier", "memo").field("verified", true);
+  predict.key("latency_us").raw("12");
+  EXPECT_EQ(serve_ok_finish(std::move(predict), "{\"total_s\":1}"),
+            R"({"ok":true,"verb":"predict","tier":"memo","verified":true,)"
+            R"("latency_us":12,"payload":{"total_s":1}})");
+  EXPECT_EQ(serve_error_response(kCodeCircuitOpen, "", "open", 250),
+            R"({"ok":false,"code":"CIRCUIT_OPEN","error":"open",)"
+            R"("retry_after_ms":250})");
 }
 
 // ----- server -----

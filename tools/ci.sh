@@ -17,8 +17,8 @@ TSAN_DIR="${TSAN_DIR:-build-tsan}"
 ASAN_DIR="${ASAN_DIR:-build-asan}"
 UBSAN_DIR="${UBSAN_DIR:-build-ubsan}"
 
-echo "== tier-1: build + full test suite =="
-cmake -B "$BUILD_DIR" -S .
+echo "== tier-1: build (warnings are errors) + full test suite =="
+cmake -B "$BUILD_DIR" -S . -DFIBERSIM_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
@@ -145,8 +145,10 @@ SERVE_SOCK="$CACHE_DIR/serve.sock"
 SERVE_CACHE="$CACHE_DIR/serve-cache"
 SERVE_LOG="$CACHE_DIR/serve.log"
 PERF_SERVE="$BUILD_DIR/bench/perf_serve"
+SERVE_JOURNAL="$CACHE_DIR/serve.journal"
 "$FIBERSIM" serve --socket "$SERVE_SOCK" --workers 2 \
-    --trace-cache "$SERVE_CACHE" > "$SERVE_LOG" 2>&1 &
+    --trace-cache "$SERVE_CACHE" --journal "$SERVE_JOURNAL" \
+    > "$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
 # Readiness via the retrying client (connect failures back off and retry —
 # no hand-rolled sleep/grep polling).
@@ -187,6 +189,21 @@ grep -q "server stopped" "$SERVE_LOG.chaos"
 [ ! -e "$SERVE_SOCK" ] && [ ! -e "$SERVE_SOCK.chaos" ]
 [ "$(find "$SERVE_CACHE" -name '.tmp-*' | wc -l)" -eq 0 ]
 
+echo "== JSON outputs: everything the CLI emits passes the strict parser =="
+# One writer (common/json) serialises every output; this re-reads each kind
+# the CLI produces, including every journal line of the serve leg above.
+"$FIBERSIM" run --app ffvc --dataset small --ranks 4 --threads 2 \
+    --dump-trace "$CACHE_DIR/trace.json" > /dev/null
+"$FIBERSIM" report --all --apps ffvc --dataset small --format json \
+    > "$CACHE_DIR/report.json"
+JOURNAL_LINES="$CACHE_DIR/journal-lines"
+mkdir -p "$JOURNAL_LINES"
+[ -s "$SERVE_JOURNAL" ]
+split -l 1 "$SERVE_JOURNAL" "$JOURNAL_LINES/line."
+"$BUILD_DIR/tools/json_check" "$CACHE_DIR/cold.json" "$CACHE_DIR/trace.json" \
+    "$CACHE_DIR/report.json" "$CACHE_DIR/host-measurements.json" \
+    "$JOURNAL_LINES"/line.*
+
 echo "== tune: seeded determinism across jobs + halving vs exhaustive =="
 # The autotuner's contract: byte-identical reports for any --jobs N at a
 # fixed seed, and a recommendation that beats the paper's as-is baseline.
@@ -212,8 +229,9 @@ for invariant in '"argmin_match": true' '"jobs_identical": true' \
 done
 
 echo "== bench artifacts: every committed BENCH_*.json must parse =="
-# Hand-rolled JSON writers drift; gate every repo-root artifact through the
-# repo's own strict parser (duplicate keys, grammar, depth all enforced).
+# Gate every repo-root artifact through the repo's own strict parser
+# (duplicate keys, grammar, depth all enforced): a committed file may be
+# stale or hand-edited, and must not ship malformed either way.
 "$BUILD_DIR/tools/json_check" BENCH_*.json
 
 echo "== resilience: chaos soak (SIGKILL + supervised recovery, zero loss) =="

@@ -1,9 +1,9 @@
 // json_check — validate files against the repo's own strict JSON parser.
 //
-// CI runs this over every repo-root BENCH_*.json so a bench that emits a
-// malformed artifact (hand-rolled writers, precision(17) doubles, trailing
-// commas) fails the gate with a position-stamped message instead of
-// shipping a file downstream tooling cannot read. The parser is the same
+// CI runs this over every repo-root BENCH_*.json and every kind of JSON the
+// CLI emits, so a malformed artifact (trailing commas, non-finite numbers,
+// raw control bytes) fails the gate with a position-stamped message instead
+// of shipping a file downstream tooling cannot read. The parser is the same
 // hardened common/json used by the serve daemon: strict grammar, duplicate
 // keys rejected, depth-capped.
 //
