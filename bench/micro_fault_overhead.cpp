@@ -94,11 +94,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The armed plan: full draw bookkeeping at every site, zero fired faults
-  // (and no recv timeout, so the mailbox wait path stays identical).
+  // The armed plan: full draw bookkeeping at every site, zero fired faults.
   const fault::Plan armed_plan = fault::Plan::parse(
       "mp.drop=1e-12;mp.dup=1e-12;mp.delay=1e-12;mp.rankdeath=1e-12;"
-      "rt.throw=1e-12;mp.timeout_ms=0");
+      "rt.throw=1e-12");
 
   // --- mp path: ring p2p + allreduce rounds over one 4-rank job ----------
   constexpr int kRanks = 4;

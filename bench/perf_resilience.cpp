@@ -6,8 +6,8 @@
 //   * deadline: workers=1 server; a tight deadline_ms on cold work must come
 //     back as a typed DEADLINE (shed in queue or at a phase boundary), a
 //     generous one must succeed — and the miss rates must be 100% / 0%.
-//   * wedge: a fault plan drops every mp message with a short recv watchdog;
-//     a predict against the live server must answer typed
+//   * wedge: a fault plan drops every mp message, so the native run
+//     deadlocks; a predict against the live server must answer typed
 //     FAILED[class=timeout] instead of hanging a worker forever.
 //   * circuit: a permanently failing plan trips the breaker after N classed
 //     failures (typed CIRCUIT_OPEN answered fast), and once the plan is
@@ -50,56 +50,17 @@
 #include "core/runner.hpp"
 #include "core/serve.hpp"
 #include "fault/fault.hpp"
+#include "serve_targets.hpp"
 #include "trace/serialize.hpp"
 
 namespace {
 
 using namespace fibersim;
+using bench::config_of;
+using bench::kTargets;
+using bench::payload_of;
+using bench::predict_line;
 namespace fs = std::filesystem;
-
-struct Target {
-  std::string app;
-  int ranks;
-  int threads;
-};
-const std::vector<Target> kTargets = {
-    {"ffvc", 2, 2}, {"ffvc", 4, 2}, {"ffb", 2, 2}, {"ffb", 4, 2}};
-
-std::string predict_line(const Target& t, const std::string& id,
-                         int deadline_ms = 0) {
-  json::Writer w;
-  w.begin_object()
-      .field("verb", "predict")
-      .field("id", id)
-      .field("app", t.app)
-      .field("dataset", "small")
-      .field("ranks", t.ranks)
-      .field("threads", t.threads)
-      .field("iterations", 1);
-  if (deadline_ms > 0) w.field("deadline_ms", deadline_ms);
-  return std::move(w.end_object()).take();
-}
-
-core::ExperimentConfig config_of(const Target& t) {
-  core::ExperimentConfig cfg;
-  cfg.app = t.app;
-  cfg.dataset = apps::Dataset::kSmall;
-  cfg.ranks = t.ranks;
-  cfg.threads = t.threads;
-  cfg.iterations = 1;
-  return cfg;
-}
-
-std::string payload_of(const std::string& response) {
-  const std::string marker = "\"payload\":";
-  const std::size_t pos = response.find(marker);
-  if (pos == std::string::npos || response.empty() ||
-      response.back() != '}') {
-    return "";
-  }
-  return response.substr(pos + marker.size(),
-                         response.size() - pos - marker.size() - 1);
-}
 
 bool has_code(const std::string& response, const char* code) {
   return response.find(std::string("\"code\":\"") + code + "\"") !=
@@ -369,7 +330,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- wedge leg: watchdogged hang answers typed FAILED[class=timeout] ----
+  // ---- wedge leg: a deadlocked run answers typed FAILED[class=timeout] ----
   bool wedge_typed_timeout = false;
   {
     core::ServeOptions opts;
@@ -377,8 +338,7 @@ int main(int argc, char** argv) {
     core::Server server(std::move(opts));
     server.start();
     fault::Plan plan;
-    plan.mp_drop = 1.0;        // every message vanishes: the run wedges
-    plan.mp_timeout_ms = 50.0; // ... until the recv watchdog fires
+    plan.mp_drop = 1.0;  // every message vanishes: the job deadlocks
     const fault::ScopedPlan scoped(plan);
     core::ServeClient client(socket_path);
     const std::string r = client.request(

@@ -48,37 +48,17 @@
 #include "core/runner.hpp"
 #include "core/serve.hpp"
 #include "fault/fault.hpp"
+#include "serve_targets.hpp"
 #include "trace/serialize.hpp"
 
 namespace {
 
 using namespace fibersim;
+using bench::config_of;
+using bench::kTargets;
+using bench::payload_of;
+using bench::predict_line;
 namespace fs = std::filesystem;
-
-/// The request mix: every client cycles through these. Two apps x two
-/// splits = four unique execution keys, so coalescing and both cache tiers
-/// are exercised at any client count.
-struct Target {
-  std::string app;
-  int ranks;
-  int threads;
-};
-const std::vector<Target> kTargets = {
-    {"ffvc", 2, 2}, {"ffvc", 4, 2}, {"ffb", 2, 2}, {"ffb", 4, 2}};
-
-std::string predict_line(const Target& t, const std::string& id) {
-  json::Writer w;
-  w.begin_object()
-      .field("verb", "predict")
-      .field("id", id)
-      .field("app", t.app)
-      .field("dataset", "small")
-      .field("ranks", t.ranks)
-      .field("threads", t.threads)
-      .field("iterations", 1)
-      .end_object();
-  return std::move(w).take();
-}
 
 /// A predict request for ffvc small 2x2 under `seed` (distinct seeds are
 /// distinct execution keys).
@@ -96,29 +76,6 @@ std::string seeded_line(int seed) {
   return std::move(w).take();
 }
 
-core::ExperimentConfig config_of(const Target& t) {
-  core::ExperimentConfig cfg;
-  cfg.app = t.app;
-  cfg.dataset = apps::Dataset::kSmall;
-  cfg.ranks = t.ranks;
-  cfg.threads = t.threads;
-  cfg.iterations = 1;
-  return cfg;
-}
-
-/// Extract the payload of an ok:true response: everything after the single
-/// `"payload":` key (always the last key, by the codec contract), minus the
-/// closing brace.
-std::string payload_of(const std::string& response) {
-  const std::string marker = "\"payload\":";
-  const std::size_t pos = response.find(marker);
-  if (pos == std::string::npos || response.empty() ||
-      response.back() != '}') {
-    return "";
-  }
-  return response.substr(pos + marker.size(),
-                         response.size() - pos - marker.size() - 1);
-}
 
 struct PassStats {
   double seconds = 0.0;

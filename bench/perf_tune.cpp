@@ -13,7 +13,8 @@
 //               exec model per thread entry — the loop structure of the
 //               naive predict_job path);
 //   * determinism: the rendered tune report must be byte-identical for
-//               --jobs 1 and --jobs N at the same seed.
+//               --jobs 1 and --jobs N at the same seed;
+//   * json:     the report's JSON rendering must parse back as an object.
 //
 // The bench exits nonzero if any invariant fails. Results go to stdout and
 // to a JSON artifact (default BENCH_tune.json — run from the repo root to
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,8 +187,13 @@ int main(int argc, char** argv) {
           : 0.0;
   const bool reduction_ok = native_reduction >= 50.0 &&
                             codegen_reduction >= 50.0;
-  const bool ok =
-      argmin_match && jobs_identical && reduction_ok && beats_baseline;
+  // The JSON rendering of the tune report must read back as one object.
+  const std::optional<json::Value> parsed_report =
+      json::parse(report_json, nullptr);
+  const bool report_json_ok =
+      parsed_report.has_value() && parsed_report->is_object();
+  const bool ok = argmin_match && jobs_identical && reduction_ok &&
+                  beats_baseline && report_json_ok;
 
   // Stdout: the tune report itself, then the bench verdict table.
   EmitOptions framed;
@@ -255,7 +262,6 @@ int main(int argc, char** argv) {
       .field("reduction_ok", reduction_ok)
       .field("ok", ok)
       .end_object();
-  static_cast<void>(report_json);
 
   std::ofstream out(out_path);
   out << std::move(json).take();
@@ -269,7 +275,8 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: perf_tune invariants violated (argmin_match="
               << argmin_match << ", jobs_identical=" << jobs_identical
               << ", reduction_ok=" << reduction_ok
-              << ", beats_baseline=" << beats_baseline << ")\n";
+              << ", beats_baseline=" << beats_baseline
+              << ", report_json_ok=" << report_json_ok << ")\n";
     return 1;
   }
   return 0;

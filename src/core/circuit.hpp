@@ -1,9 +1,8 @@
 // fibersim::core — per-key circuit breakers for the serve daemon.
 //
-// A poisoned config (a dataset that always trips the watchdog, a fault plan
-// that fails every native run) would otherwise grind the worker pool: each
-// request burns a worker for the full failure latency before answering
-// FAILED. The breaker tracks classed failures per key — the serve layer keys
+// A poisoned config (a run that always deadlocks, a fault plan that fails
+// every native run) would otherwise grind the worker pool: each request
+// burns a worker for the full failure latency before answering FAILED. The breaker tracks classed failures per key — the serve layer keys
 // on (verb, app, dataset, ranks x threads) — over a sliding window of the
 // last `window` outcomes and trips open after `failure_threshold`
 // consecutive-window failures. While open, requests are rejected immediately

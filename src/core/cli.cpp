@@ -1,8 +1,10 @@
 #include "core/cli.hpp"
 
+#include <exception>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "trace/serialize.hpp"
@@ -117,7 +119,6 @@ constexpr const char* kUsage =
     "    resilience: [--fault-plan spec] install a deterministic fault plan\n"
     "                (also read from env FIBERSIM_FAULT_PLAN)\n"
     "                [--retries N] retry failed sweep tasks up to N times\n"
-    "                [--watchdog S] doom mailbox waits blocked > S seconds\n"
     "                [--journal path] JSONL journal: skip completed configs\n"
     "                on resume, record fresh completions\n"
     "                [--keep-going] render failed slots as FAILED(class)\n"
@@ -435,22 +436,33 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out,
     emit_report(build_one(*single), opts, out);
     return 0;
   }
-  if (flags.format == ReportFormat::kJson) {
-    out << "[\n";
-    bool first = true;
-    for (const Experiment& entry : registry.experiments()) {
-      if (!first) out << ",";
-      first = false;
-      emit_report(build_one(entry), opts, out);
+  // Build every experiment at once, so the workers one report's sweep tail
+  // leaves idle run the next report, then emit in registry order. Workers
+  // claim from the end of the registry: the extended-scale experiments
+  // there are the longest (their 10^5-rank points run one native job each),
+  // and starting them first keeps them off the end of the critical path. A
+  // failed build rethrows where it would have been emitted.
+  const std::vector<Experiment>& entries = registry.experiments();
+  std::vector<ReportArtifact> artifacts(entries.size());
+  std::vector<std::exception_ptr> errors(entries.size());
+  SweepPool(flags.ctx.jobs).for_each(entries.size(), [&](std::size_t k) {
+    const std::size_t i = entries.size() - 1 - k;
+    try {
+      artifacts[i] = build_one(entries[i]);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-    out << "]\n";
-    return 0;
+  });
+  const bool json = flags.format == ReportFormat::kJson;
+  if (json) out << "[\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (json && i > 0) out << ",";
+    if (!json) out << "== " << entries[i].id << " ==\n";
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    emit_report(artifacts[i], opts, out);
+    if (!json) out << "\n";
   }
-  for (const Experiment& entry : registry.experiments()) {
-    out << "== " << entry.id << " ==\n";
-    emit_report(build_one(entry), opts, out);
-    out << "\n";
-  }
+  if (json) out << "]\n";
   return 0;
 }
 

@@ -52,19 +52,6 @@ std::string flag_bool(const std::string& flag, const std::string& value,
   return flag + ": expected on|off, got '" + value + "'";
 }
 
-std::string flag_f64(const std::string& flag, const std::string& value,
-                     double min, double* out) {
-  const std::optional<double> v = parse_f64(value);
-  if (!v) {
-    return flag + ": expected a number, got '" + value + "'";
-  }
-  if (*v < min) {
-    return flag + " must be >= " + strfmt("%g", min) + ", got '" + value + "'";
-  }
-  *out = *v;
-  return "";
-}
-
 std::string parse_report_flags(const std::vector<std::string>& args,
                                ReportFlags& flags) {
   std::string problem;
@@ -121,9 +108,6 @@ std::string parse_report_flags(const std::vector<std::string>& args,
       fault::install(fault::Plan::parse(value));
     } else if (key == "--retries") {
       problem = flag_int(key, value, 0, &flags.ctx.max_retries);
-      if (!problem.empty()) return problem;
-    } else if (key == "--watchdog") {
-      problem = flag_f64(key, value, 0.0, &flags.ctx.watchdog_s);
       if (!problem.empty()) return problem;
     } else if (key == "--journal") {
       flags.journal = std::make_shared<SweepJournal>(value);

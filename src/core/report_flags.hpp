@@ -5,7 +5,7 @@
 // Flags: --apps a,b  --dataset small|large  --iterations N  --seed N
 //        --jobs N  --ranks N  --threads N  --collapse-ranks on|off
 //        --format text|csv|json  (--csv = --format csv)
-//        --list  --fault-plan spec  --retries N  --watchdog S
+//        --list  --fault-plan spec  --retries N
 //        --journal path  --keep-going  --fail-fast  --trace-cache dir
 //        --processor-dir dir  (load every descriptors/*.json into the
 //        processor registry before building, replacing same-name machines)
@@ -61,8 +61,6 @@ std::string flag_u64(const std::string& flag, const std::string& value,
                      std::uint64_t* out);
 std::string flag_bool(const std::string& flag, const std::string& value,
                       bool* out);
-std::string flag_f64(const std::string& flag, const std::string& value,
-                     double min, double* out);
 
 /// Attach the persistent trace store selected by --trace-cache (`dir`), or
 /// — when empty — by FIBERSIM_TRACE_CACHE, to the runner.

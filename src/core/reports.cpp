@@ -26,7 +26,6 @@ SweepControl ReportContext::sweep_control() const {
   SweepControl control;
   control.max_retries = max_retries;
   control.backoff_s = backoff_s;
-  control.watchdog_s = watchdog_s;
   control.keep_going = keep_going;
   control.journal = journal;
   return control;

@@ -44,7 +44,6 @@ struct ReportContext {
   // every point and rethrow the first failure.
   int max_retries = 0;
   double backoff_s = 0.01;
-  double watchdog_s = 0.0;
   bool keep_going = false;
   /// Optional kill+resume journal shared by every sweep of this context.
   SweepJournal* journal = nullptr;

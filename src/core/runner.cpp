@@ -73,7 +73,8 @@ Runner::Execution Runner::run_native_collapsed(const ExperimentConfig& config) {
   Execution exec;
   exec.verified = true;
 
-  std::mutex result_mutex;
+  // A job's ranks run one at a time on this thread, so they write `exec`
+  // without a lock.
   mp::Job::run_collapsed(symmetry, [&](mp::Comm& comm) {
     rt::ThreadTeam team(config.threads);
     trace::Recorder recorder(&comm);
@@ -94,7 +95,6 @@ Runner::Execution Runner::run_native_collapsed(const ExperimentConfig& config) {
     const std::size_t slot =
         static_cast<std::size_t>(symmetry.class_of(comm.rank()));
     rep_traces[slot] = recorder.phases();
-    std::lock_guard<std::mutex> lock(result_mutex);
     exec.verified = exec.verified && result.verified;
     if (comm.rank() == 0) {
       exec.check_value = result.check_value;
@@ -192,7 +192,6 @@ Runner::Execution Runner::run_native(const ExperimentConfig& config,
   exec.job_trace.resize(static_cast<std::size_t>(config.ranks));
   exec.verified = true;
 
-  std::mutex result_mutex;
   mp::Job::run(
       config.ranks,
       [&](mp::Comm& comm) {
@@ -216,7 +215,6 @@ Runner::Execution Runner::run_native(const ExperimentConfig& config,
 
         exec.job_trace[static_cast<std::size_t>(comm.rank())] =
             recorder.phases();
-        std::lock_guard<std::mutex> lock(result_mutex);
         exec.verified = exec.verified && result.verified;
         if (comm.rank() == 0) {
           exec.check_value = result.check_value;

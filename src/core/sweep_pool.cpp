@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
-#include "common/string_util.hpp"
 #include "core/journal.hpp"
 #include "fault/fault.hpp"
 
@@ -37,56 +33,6 @@ const TaskFailure* SweepOutcome::failure(std::size_t i) const {
 }
 
 namespace {
-
-/// Runs the sweep watchdog on its own thread: while active, mailbox pops
-/// register their waits, and any wait older than `watchdog_s` is doomed with
-/// a snapshot of everything blocked at that moment — the waiter unwinds with
-/// that diagnostic instead of hanging the sweep. The watchdog itself never
-/// touches a mailbox (WaitRegistry only), so it cannot deadlock with them.
-class Watchdog {
- public:
-  explicit Watchdog(double watchdog_s) : timeout_s_(watchdog_s) {
-    if (timeout_s_ <= 0.0) return;
-    fault::WaitRegistry::instance().watch(true);
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~Watchdog() {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    fault::WaitRegistry::instance().watch(false);
-  }
-
- private:
-  void loop() {
-    auto& registry = fault::WaitRegistry::instance();
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto beat = std::chrono::duration<double>(
-        std::min(0.25, std::max(0.01, timeout_s_ / 4.0)));
-    while (!cv_.wait_for(lock, beat, [this] { return stop_; })) {
-      const std::string blocked = registry.describe();
-      const int doomed = registry.doom_older_than(
-          timeout_s_,
-          strfmt("no progress for %.1fs; blocked: %s", timeout_s_,
-                 blocked.c_str()));
-      if (doomed > 0) {
-        FS_LOG(kWarn) << "sweep watchdog fired (" << doomed
-                      << " blocked waits): " << blocked;
-      }
-    }
-  }
-
-  double timeout_s_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
 
 std::string error_text(const std::exception_ptr& error) {
   try {
@@ -152,8 +98,6 @@ SweepOutcome SweepPool::run_resilient(
   std::vector<std::exception_ptr> errors(n);
   std::vector<int> attempts(n, 0);
 
-  Watchdog watchdog(control.watchdog_s);
-
   auto run_task = [&](std::size_t i) {
     const ExperimentConfig& config = configs[i];
     if (control.journal != nullptr &&
@@ -207,7 +151,7 @@ SweepOutcome SweepPool::run_resilient(
 
 std::vector<ExperimentResult> SweepPool::run(
     Runner& runner, const std::vector<ExperimentConfig>& configs) const {
-  SweepControl control;  // no retries, fail-fast, no watchdog, no journal
+  SweepControl control;  // no retries, fail-fast, no journal
   return run_resilient(runner, configs, control).results;
 }
 

@@ -16,9 +16,9 @@
 // Resilience (run_resilient): each task gets bounded retries with
 // exponential backoff — with an active fault plan the Runner passes the
 // attempt number into the deterministic fault salt, so transient-only plans
-// converge to the fault-free result. An optional wall-clock watchdog dooms
-// mailbox waits that stop making progress, dumping which ranks were blocked
-// on which (source, tag) instead of hanging the sweep. keep_going collects
+// converge to the fault-free result. A native run that deadlocks fails at
+// once with a typed error naming its blocked ranks (see mp::Job), so no
+// sweep can hang on a lost message. keep_going collects
 // failures per slot and returns the partial sweep; otherwise the failure of
 // the lowest config index is rethrown after every task has finished. An
 // optional SweepJournal short-circuits already-completed configs and records
@@ -36,15 +36,13 @@ namespace fibersim::core {
 
 class SweepJournal;
 
-/// Retry / watchdog / failure policy of one resilient sweep.
+/// Retry / failure policy of one resilient sweep.
 struct SweepControl {
   /// Retries per task beyond the first attempt (0 = single attempt).
   int max_retries = 0;
   /// First retry delay; doubles per retry. Wall-clock only — results never
   /// depend on it.
   double backoff_s = 0.01;
-  /// Doom mailbox waits blocked longer than this (0 disables the watchdog).
-  double watchdog_s = 0.0;
   /// Collect failures per slot instead of rethrowing the first one.
   bool keep_going = false;
   /// Skip configs already journaled; record fresh completions. May be null.
@@ -97,7 +95,7 @@ class SweepPool {
   std::vector<ExperimentResult> run(Runner& runner,
                                     const std::vector<ExperimentConfig>& configs) const;
 
-  /// As run(), with retry/watchdog/keep-going/journal behaviour per
+  /// As run(), with retry/keep-going/journal behaviour per
   /// `control`. Always runs every task to completion or failure; throws
   /// (lowest failed index) only when !control.keep_going.
   SweepOutcome run_resilient(Runner& runner,

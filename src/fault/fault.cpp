@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
-#include <tuple>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -84,8 +83,6 @@ Plan Plan::parse(const std::string& spec) {
         plan.mp_rank_death = parse_probability(key, value);
       } else if (key == "mp.delay_ms") {
         plan.mp_delay_ms = parse_nonneg(key, value);
-      } else if (key == "mp.timeout_ms") {
-        plan.mp_timeout_ms = parse_nonneg(key, value);
       } else if (key == "rt.throw") {
         plan.rt_throw = parse_probability(key, value);
       } else if (key == "run.fail") {
@@ -104,19 +101,17 @@ Plan Plan::parse(const std::string& spec) {
 std::string Plan::spec() const {
   return strfmt(
       "seed=%llu;transient=%d;mp.drop=%g;mp.delay=%g;mp.dup=%g;"
-      "mp.rankdeath=%g;mp.delay_ms=%g;mp.timeout_ms=%g;rt.throw=%g;"
-      "run.fail=%d;predict.fail=%d",
+      "mp.rankdeath=%g;mp.delay_ms=%g;rt.throw=%g;run.fail=%d;"
+      "predict.fail=%d",
       static_cast<unsigned long long>(seed), transient, mp_drop, mp_delay,
-      mp_dup, mp_rank_death, mp_delay_ms, mp_timeout_ms, rt_throw, run_fail,
-      predict_fail);
+      mp_dup, mp_rank_death, mp_delay_ms, rt_throw, run_fail, predict_fail);
 }
 
 void Plan::validate() const {
   for (double p : {mp_drop, mp_delay, mp_dup, mp_rank_death, rt_throw}) {
     FS_REQUIRE(p >= 0.0 && p <= 1.0, "fault plan: probability out of range");
   }
-  FS_REQUIRE(mp_delay_ms >= 0.0 && mp_timeout_ms >= 0.0,
-             "fault plan: durations must be >= 0");
+  FS_REQUIRE(mp_delay_ms >= 0.0, "fault plan: durations must be >= 0");
   FS_REQUIRE(transient >= 0 && run_fail >= 0 && predict_fail >= 0,
              "fault plan: counts must be >= 0");
 }
@@ -166,7 +161,6 @@ bool install_from_env() {
 ErrorClass classify(const std::string& what) {
   if (what.rfind(kInjectedMarker, 0) == 0) return ErrorClass::kInjected;
   if (what.rfind(kTimeoutMarker, 0) == 0) return ErrorClass::kTimeout;
-  if (what.rfind(kWatchdogMarker, 0) == 0) return ErrorClass::kWatchdog;
   if (what.rfind(kPoisonMarker, 0) == 0 ||
       what.find(kPoisonMarker) != std::string::npos) {
     return ErrorClass::kPoison;
@@ -178,7 +172,6 @@ const char* error_class_name(ErrorClass c) {
   switch (c) {
     case ErrorClass::kInjected: return "injected";
     case ErrorClass::kTimeout: return "timeout";
-    case ErrorClass::kWatchdog: return "watchdog";
     case ErrorClass::kOther: return "error";
     case ErrorClass::kPoison: return "poisoned";
   }
@@ -284,11 +277,6 @@ bool Session::should_fail_native_run() const {
   return true;
 }
 
-double Session::recv_timeout_s() const {
-  if (!armed_ || !plan_->any_mp()) return 0.0;
-  return plan_->mp_timeout_ms * 1e-3;
-}
-
 double Session::delay_s() const {
   return plan_ ? plan_->mp_delay_ms * 1e-3 : 0.0;
 }
@@ -323,100 +311,6 @@ std::size_t Log::count() {
 void Log::reset() {
   std::lock_guard<std::mutex> lock(g_log_mutex);
   g_log.clear();
-}
-
-// ----- wait registry ------------------------------------------------------
-
-WaitRegistry& WaitRegistry::instance() {
-  static WaitRegistry registry;
-  return registry;
-}
-
-void WaitRegistry::watch(bool on) {
-  watchers_.fetch_add(on ? 1 : -1, std::memory_order_acq_rel);
-}
-
-std::uint64_t WaitRegistry::add(int job, int rank, int source, int tag) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry entry;
-  entry.id = next_id_++;
-  entry.job = job;
-  entry.rank = rank;
-  entry.source = source;
-  entry.tag = tag;
-  entry.since = std::chrono::steady_clock::now();
-  entries_.push_back(std::move(entry));
-  return entries_.back().id;
-}
-
-void WaitRegistry::remove(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->id == id) {
-      entries_.erase(it);
-      return;
-    }
-  }
-}
-
-bool WaitRegistry::doomed(std::uint64_t id, std::string* reason) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& entry : entries_) {
-    if (entry.id == id && entry.doomed) {
-      if (reason != nullptr) *reason = entry.reason;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<BlockedWait> WaitRegistry::snapshot() const {
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<BlockedWait> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    BlockedWait wait;
-    wait.job = entry.job;
-    wait.rank = entry.rank;
-    wait.source = entry.source;
-    wait.tag = entry.tag;
-    wait.waited_s = std::chrono::duration<double>(now - entry.since).count();
-    out.push_back(wait);
-  }
-  std::sort(out.begin(), out.end(), [](const BlockedWait& a,
-                                       const BlockedWait& b) {
-    return std::tie(a.job, a.rank, a.source, a.tag) <
-           std::tie(b.job, b.rank, b.source, b.tag);
-  });
-  return out;
-}
-
-std::string WaitRegistry::describe() const {
-  std::string out;
-  for (const BlockedWait& wait : snapshot()) {
-    if (!out.empty()) out += ", ";
-    out += strfmt("job %d rank %d blocked in recv(src=%d, tag=%d) %.1fs",
-                  wait.job, wait.rank, wait.source, wait.tag, wait.waited_s);
-  }
-  return out.empty() ? "no ranks blocked in mailbox ops" : out;
-}
-
-int WaitRegistry::doom_older_than(double min_age_s,
-                                  const std::string& reason) {
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  int doomed_count = 0;
-  for (Entry& entry : entries_) {
-    const double age =
-        std::chrono::duration<double>(now - entry.since).count();
-    if (!entry.doomed && age >= min_age_s) {
-      entry.doomed = true;
-      entry.reason = reason;
-      ++doomed_count;
-    }
-  }
-  return doomed_count;
 }
 
 }  // namespace fibersim::fault

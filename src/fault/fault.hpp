@@ -10,8 +10,9 @@
 //
 // Injection sites (hooks cost one pointer/atomic check when no plan is
 // active):
-//   * mp     — message drop/delay/duplication on the send path, rank death
-//              at communication ops, and a blocked-recv timeout watchdog;
+//   * mp     — message drop/delay/duplication on the send path and rank
+//              death at communication ops (a receive whose message was
+//              dropped stalls its job, which Job reports as a deadlock);
 //   * rt     — worker throw at parallel-region entry;
 //   * core   — native-run and prediction failures inside the Runner.
 //
@@ -21,10 +22,8 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,11 +44,6 @@ struct Plan {
   double mp_dup = 0.0;         ///< P(message delivered twice)
   double mp_rank_death = 0.0;  ///< P(rank throws) per communication op
   double mp_delay_ms = 1.0;    ///< duration of one injected delay
-  /// Blocked-recv watchdog: a rank waiting longer than this throws a
-  /// diagnostic Error instead of hanging forever on a dropped message.
-  /// Applied whenever an mp fault is possible; 0 disables (then only the
-  /// SweepPool watchdog can recover a hang).
-  double mp_timeout_ms = 2000.0;
 
   // rt layer.
   double rt_throw = 0.0;  ///< P(worker throws) per (parallel region, thread)
@@ -60,7 +54,7 @@ struct Plan {
 
   /// Parse "key=value[;key=value...]" (',' also accepted as separator).
   /// Keys: seed, transient, mp.drop, mp.delay, mp.dup, mp.rankdeath,
-  /// mp.delay_ms, mp.timeout_ms, rt.throw, run.fail, predict.fail.
+  /// mp.delay_ms, rt.throw, run.fail, predict.fail.
   /// Throws fibersim::Error on unknown keys or out-of-range values.
   static Plan parse(const std::string& spec);
 
@@ -110,13 +104,12 @@ struct ScopedPlan {
 /// classify a failure without fragile substring guesswork elsewhere.
 inline constexpr const char* kInjectedMarker = "fault: injected";
 inline constexpr const char* kTimeoutMarker = "fault: recv timeout";
-inline constexpr const char* kWatchdogMarker = "fault: watchdog";
 inline constexpr const char* kPoisonMarker = "mp job aborted";
 
 /// Failure classes ordered by reporting priority: when several ranks of a
 /// job die, the highest-priority (lowest enum) class wins, which keeps the
-/// propagated error deterministic even though poison-unwind timing is not.
-enum class ErrorClass { kInjected = 0, kTimeout, kWatchdog, kOther, kPoison };
+/// propagated error deterministic whichever ranks unwound as poisoned.
+enum class ErrorClass { kInjected = 0, kTimeout, kOther, kPoison };
 
 ErrorClass classify(const std::string& what);
 const char* error_class_name(ErrorClass c);
@@ -153,7 +146,6 @@ class Session {
   /// Count-based native-run failure (attempt < plan.run_fail).
   bool should_fail_native_run() const;
 
-  double recv_timeout_s() const;
   double delay_s() const;
 
  private:
@@ -178,61 +170,6 @@ class Log {
   static std::vector<std::string> lines();
   static std::size_t count();
   static void reset();
-};
-
-// ----- blocked-wait registry ---------------------------------------------
-
-/// A snapshot row: which rank of which job is blocked in which mailbox op.
-struct BlockedWait {
-  int job = -1;
-  int rank = -1;
-  int source = -2;
-  int tag = -2;
-  double waited_s = 0.0;
-};
-
-/// Process-wide registry of blocked mailbox receives. Mailbox::pop registers
-/// while watching is enabled (SweepPool watchdog active); the watchdog reads
-/// snapshots for diagnostics and "dooms" long waits. Doomed waiters observe
-/// the flag on their next wait beat and unwind themselves — the watchdog
-/// never touches a mailbox directly, so there is no cross-lock ordering.
-class WaitRegistry {
- public:
-  static WaitRegistry& instance();
-
-  /// Reference-counted enable; pop only registers (and beats) while > 0.
-  void watch(bool on);
-  bool watching() const {
-    return watchers_.load(std::memory_order_relaxed) > 0;
-  }
-
-  std::uint64_t add(int job, int rank, int source, int tag);
-  void remove(std::uint64_t id);
-  /// If the entry was doomed, fills `reason` and returns true.
-  bool doomed(std::uint64_t id, std::string* reason) const;
-
-  std::vector<BlockedWait> snapshot() const;
-  /// Human-readable snapshot ("rank 2 <- src 1 tag 5 (3.2s)"; empty when
-  /// nothing is blocked).
-  std::string describe() const;
-  /// Doom every wait older than `min_age_s`; returns how many were doomed.
-  int doom_older_than(double min_age_s, const std::string& reason);
-
- private:
-  struct Entry {
-    std::uint64_t id = 0;
-    int job = -1;
-    int rank = -1;
-    int source = -2;
-    int tag = -2;
-    std::chrono::steady_clock::time_point since;
-    bool doomed = false;
-    std::string reason;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-  std::uint64_t next_id_ = 1;
-  std::atomic<int> watchers_{0};
 };
 
 }  // namespace fibersim::fault

@@ -24,7 +24,7 @@ constexpr int kCollectiveSeqSlots = 4096;
 /// funnels through, so an attached fault plan sees every message exactly
 /// once, numbered in per-(src, dst) program order.
 void deliver(detail::JobState& state, int dst, Message m) {
-  Mailbox& mbox = *state.mailboxes[static_cast<std::size_t>(dst)];
+  Mailbox& mbox = state.mailboxes[static_cast<std::size_t>(dst)];
   if (state.faults == nullptr) {
     mbox.push(std::move(m));
     return;
@@ -67,7 +67,7 @@ void fault_op(detail::JobState& state, int rank) {
 
 Mailbox& Comm::mailbox_of(int r) const {
   FS_REQUIRE(r >= 0 && r < size_, "peer rank out of range");
-  return *state_->mailboxes[static_cast<std::size_t>(r)];
+  return state_->mailboxes[static_cast<std::size_t>(r)];
 }
 
 void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
@@ -158,7 +158,7 @@ void raw_send(detail::JobState& state, int self, int dst, int tag,
 /// forward the shared Buffer onward.
 Message raw_recv_msg(detail::JobState& state, int self, int src, int tag,
                      std::size_t bytes) {
-  Message m = state.mailboxes[static_cast<std::size_t>(self)]->pop(src, tag);
+  Message m = state.mailboxes[static_cast<std::size_t>(self)].pop(src, tag);
   FS_REQUIRE(m.payload.size() == bytes, "collective payload size mismatch");
   return m;
 }

@@ -1,12 +1,12 @@
 #include "mp/job.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "fault/fault.hpp"
+#include "mp/fiber.hpp"
 #include "mp/symmetry.hpp"
 
 namespace fibersim::mp {
@@ -23,81 +23,75 @@ fault::ErrorClass classify_error(const std::exception_ptr& error) {
   }
 }
 
-std::atomic<int> g_next_job_id{0};
-
-/// Gives `state` a fresh job id and one mailbox per slot.
-void open_mailboxes(detail::JobState& state, int slots) {
-  state.ranks = slots;
-  state.job_id = g_next_job_id.fetch_add(1, std::memory_order_relaxed);
-  state.mailboxes.reserve(static_cast<std::size_t>(slots));
-  state.finished = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    state.mailboxes.push_back(std::make_unique<Mailbox>());
-    state.mailboxes.back()->set_identity(state.job_id, s);
-    state.mailboxes.back()->set_senders(state.finished.get());
+/// The deadlock report of a job whose ranks are all parked or finished.
+std::string describe_deadlock(const detail::JobState& state) {
+  std::string out = strfmt("%s: deadlock, no rank can run; blocked:",
+                           fault::kTimeoutMarker);
+  for (int r = 0; r < state.ranks; ++r) {
+    int source = 0;
+    int tag = 0;
+    if (state.mailboxes[static_cast<std::size_t>(r)].parked_on(&source,
+                                                               &tag)) {
+      out += strfmt(" rank %d recv(src=%d, tag=%d);", r, source, tag);
+    }
   }
+  out.pop_back();
+  return out;
 }
 
-/// Runs `fn` on one thread per slot of `state` (slot 0 on the caller) under
-/// the Comm that `make_comm(slot)` builds, joins, and returns the per-slot
-/// logs. A slot that throws poisons every mailbox, and every slot that ends
-/// in a failing job re-poisons them, so slots blocked on it unwind.
+/// Runs `fn` on one fiber per slot of `state` under the Comm that
+/// `make_comm(slot)` builds and returns the per-slot logs. When no slot can
+/// run, every mailbox is poisoned so the parked slots unwind; with no slot
+/// failed before that, the job was deadlocked and throws that instead.
 template <typename MakeComm>
 std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
                                const MakeComm& make_comm) {
   const auto slots = static_cast<std::size_t>(state.ranks);
   std::vector<CommLog> logs(slots);
-  std::mutex error_mutex;
   std::vector<std::exception_ptr> errors(slots);
-  std::atomic<bool> failed{false};
+  std::string deadlock;
 
-  auto body = [&](int slot) {
-    Comm comm = make_comm(slot);
-    try {
-      fn(comm);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        errors[static_cast<std::size_t>(slot)] = std::current_exception();
-      }
-      failed.store(true);
-    }
-    // Sequentially consistent with the failed flag: either a failing slot's
-    // poison sees this slot finished, or this slot sees the failure and
-    // wakes the slots waiting on it itself.
-    state.finished[static_cast<std::size_t>(slot)].store(true);
-    if (failed.load()) {
-      for (auto& mbox : state.mailboxes) mbox->poison();
-    }
-    logs[static_cast<std::size_t>(slot)] = comm.log();
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(slots - 1);
-  for (int s = 1; s < state.ranks; ++s) threads.emplace_back(body, s);
-  body(0);
-  for (std::thread& t : threads) t.join();
-
-  if (failed.load()) {
-    // Deterministic pick: best (lowest) ErrorClass, ties to the lowest slot.
-    // Which *set* of slots unwound as poisoned can vary run to run (a
-    // kAnySource receive still races the poison), but the root-cause
-    // classes are stable, so the winner's class is too.
-    std::exception_ptr best;
-    fault::ErrorClass best_class = fault::ErrorClass::kPoison;
-    for (const std::exception_ptr& error : errors) {
-      if (!error) continue;
-      const fault::ErrorClass c = classify_error(error);
-      if (!best || c < best_class) {
-        best = error;
-        best_class = c;
-      }
-    }
-    FS_ASSERT(best, "failed job recorded no rank error");
-    std::rethrow_exception(best);
+  detail::FiberSet fibers(state.ranks);
+  for (int s = 0; s < state.ranks; ++s) {
+    state.mailboxes[static_cast<std::size_t>(s)].attach(&fibers, s);
   }
+  fibers.run(
+      [&](int slot) {
+        Comm comm = make_comm(slot);
+        try {
+          fn(comm);
+        } catch (...) {
+          errors[static_cast<std::size_t>(slot)] = std::current_exception();
+        }
+        logs[static_cast<std::size_t>(slot)] = comm.log();
+      },
+      [&] {
+        const bool failed = std::any_of(
+            errors.begin(), errors.end(),
+            [](const std::exception_ptr& e) { return e != nullptr; });
+        if (!failed) deadlock = describe_deadlock(state);
+        for (Mailbox& mbox : state.mailboxes) mbox.poison();
+      });
+
+  if (!deadlock.empty()) throw Error(deadlock);
+  // Deterministic pick: best (lowest) ErrorClass, ties to the lowest slot.
+  std::exception_ptr best;
+  fault::ErrorClass best_class = fault::ErrorClass::kPoison;
+  for (const std::exception_ptr& error : errors) {
+    if (!error) continue;
+    const fault::ErrorClass c = classify_error(error);
+    if (!best || c < best_class) {
+      best = error;
+      best_class = c;
+    }
+  }
+  if (best) std::rethrow_exception(best);
   return logs;
+}
+
+void open_mailboxes(detail::JobState& state, int slots) {
+  state.ranks = slots;
+  state.mailboxes.resize(static_cast<std::size_t>(slots));
 }
 
 }  // namespace
@@ -115,10 +109,6 @@ std::vector<CommLog> Job::run_logged(int ranks, const RankFn& fn,
     state.send_seq.assign(
         static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0);
     state.op_seq.assign(static_cast<std::size_t>(ranks), 0);
-    const double timeout_s = faults->recv_timeout_s();
-    if (timeout_s > 0.0) {
-      for (auto& mbox : state.mailboxes) mbox->set_recv_timeout(timeout_s);
-    }
   }
   return run_slots(state, fn,
                    [&](int rank) { return Comm(state, rank, ranks); });
@@ -153,5 +143,9 @@ void Job::run(int ranks, const RankFn& fn) {
 void Job::run(int ranks, const RankFn& fn, const fault::Session* faults) {
   (void)run_logged(ranks, fn, faults);
 }
+
+std::size_t Job::stack_bytes() { return detail::fiber_stack_bytes(); }
+
+std::size_t Job::stack_high_water() { return detail::fiber_stack_high_water(); }
 
 }  // namespace fibersim::mp

@@ -1,37 +1,25 @@
 #include "mp/mailbox.hpp"
 
-#include <chrono>
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/string_util.hpp"
-#include "fault/fault.hpp"
+#include "mp/fiber.hpp"
 
 namespace fibersim::mp {
 
 namespace {
-// How often a blocked pop re-checks its doom flag / timeout while a watchdog
-// or fault plan is active. Purely a liveness knob — never affects results.
-constexpr auto kWaitBeat = std::chrono::milliseconds(25);
-
-/// Removes a WaitRegistry entry on every exit path out of pop().
-struct WaitGuard {
-  std::uint64_t id = 0;
-  bool active = false;
-  ~WaitGuard() {
-    if (active) fault::WaitRegistry::instance().remove(id);
-  }
-};
+bool matches(int want_source, int want_tag, const Message& m) {
+  return (want_source == kAnySource || want_source == m.source) &&
+         (want_tag == kAnyTag || want_tag == m.tag);
+}
 }  // namespace
 
 void Mailbox::push(Message message) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::pair<int, int> key{message.source, message.tag};
-    buckets_[key].push_back(Sequenced{next_seq_++, std::move(message)});
-    ++size_;
-  }
-  cv_.notify_all();
+  const bool wakes = parked_ && matches(wait_source_, wait_tag_, message);
+  const std::pair<int, int> key{message.source, message.tag};
+  buckets_[key].push_back(Sequenced{next_seq_++, std::move(message)});
+  ++size_;
+  if (wakes) fibers_->wake(owner_);
 }
 
 Mailbox::BucketMap::iterator Mailbox::find_bucket(int source, int tag) {
@@ -61,9 +49,6 @@ Mailbox::BucketMap::iterator Mailbox::find_bucket(int source, int tag) {
 }
 
 Message Mailbox::pop(int source, int tag) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  WaitGuard guard;
-  std::chrono::steady_clock::time_point wait_start{};
   while (true) {
     const auto it = find_bucket(source, tag);
     if (it != buckets_.end()) {
@@ -73,87 +58,37 @@ Message Mailbox::pop(int source, int tag) {
       --size_;
       return out;
     }
-    // A failing job unwinds a receive only once it can never match: a live
-    // source may still send, so its receiver runs on to its own error.
-    if (poisoned_ && (source == kAnySource || finished_ == nullptr ||
-                      finished_[source].load())) {
-      throw Error("mp job aborted: mailbox poisoned");
-    }
-
-    // Nothing matching yet. The plain path (no watchdog, no fault timeout)
-    // blocks exactly as it always has: one untimed wait per arrival.
-    auto& registry = fault::WaitRegistry::instance();
-    const bool watched = registry.watching();
-    const double timeout_s = recv_timeout_s_;
-    if (!watched && timeout_s <= 0.0) {
-      cv_.wait(lock);
-      continue;
-    }
-
-    if (wait_start == std::chrono::steady_clock::time_point{}) {
-      wait_start = std::chrono::steady_clock::now();
-    }
-    if (watched && !guard.active) {
-      guard.id = registry.add(job_, rank_, source, tag);
-      guard.active = true;
-    }
-    cv_.wait_for(lock, kWaitBeat);
-    if (guard.active) {
-      std::string reason;
-      if (registry.doomed(guard.id, &reason)) {
-        throw Error(strfmt("%s: job %d rank %d recv(src=%d, tag=%d): %s",
-                           fault::kWatchdogMarker, job_, rank_, source, tag,
-                           reason.c_str()));
-      }
-    }
-    if (timeout_s > 0.0) {
-      const double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wait_start)
-              .count();
-      if (waited >= timeout_s) {
-        throw Error(strfmt(
-            "%s: job %d rank %d blocked in recv(src=%d, tag=%d) for %.1fs "
-            "(%zu unmatched messages pending)",
-            fault::kTimeoutMarker, job_, rank_, source, tag, waited, size_));
-      }
-    }
+    if (poisoned_) throw Error("mp job aborted: mailbox poisoned");
+    FS_REQUIRE(fibers_ != nullptr,
+               "mp: receive with no match on a mailbox outside a job");
+    parked_ = true;
+    wait_source_ = source;
+    wait_tag_ = tag;
+    fibers_->park();
+    parked_ = false;
   }
 }
 
 bool Mailbox::probe(int source, int tag) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   Mailbox* self = const_cast<Mailbox*>(this);
   return self->find_bucket(source, tag) != self->buckets_.end();
 }
 
 void Mailbox::poison() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    poisoned_ = true;
-  }
-  cv_.notify_all();
+  poisoned_ = true;
+  if (parked_) fibers_->wake(owner_);
 }
 
-void Mailbox::set_senders(const std::atomic<bool>* finished) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  finished_ = finished;
+void Mailbox::attach(detail::FiberSet* fibers, int owner) {
+  fibers_ = fibers;
+  owner_ = owner;
 }
 
-std::size_t Mailbox::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return size_;
-}
-
-void Mailbox::set_identity(int job, int rank) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  job_ = job;
-  rank_ = rank;
-}
-
-void Mailbox::set_recv_timeout(double timeout_s) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  recv_timeout_s_ = timeout_s;
+bool Mailbox::parked_on(int* source, int* tag) const {
+  if (!parked_) return false;
+  *source = wait_source_;
+  *tag = wait_tag_;
+  return true;
 }
 
 }  // namespace fibersim::mp

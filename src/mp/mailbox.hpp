@@ -2,35 +2,28 @@
 //
 // Senders deposit a refcounted immutable payload (mp::Buffer) into the
 // destination mailbox (buffered, non-blocking send — the MPI "eager"
-// protocol); receivers block until a message matching (source, tag) is
-// present. Delivery never copies payload bytes: the one allocation + memcpy
-// happens at the send site, and fan-out paths share that allocation. MPI ordering semantics hold:
-// messages from the same source with the same tag are received in send order.
-// poison() aborts the receives that can no longer be satisfied, which Job
-// uses to unwind all ranks when one rank throws; a queued match, or one
-// from a rank still running, is still received (see pop()).
+// protocol); a receive with no matching (source, tag) message parks its
+// rank's fiber until one arrives. Delivery never copies payload bytes: the
+// one allocation + memcpy happens at the send site, and fan-out paths share
+// that allocation. MPI ordering semantics hold: messages from the same
+// source with the same tag are received in send order. Only the owning rank
+// pops its mailbox, so a push that matches the owner's parked receive is
+// what makes the owner runnable again.
+//
+// A job's ranks all run on one host thread (see FiberSet), so a mailbox
+// takes no lock. poison() makes every receive that finds no match throw;
+// Job poisons a stalled job's mailboxes so its parked ranks unwind.
 //
 // Matching is indexed: messages are stored in per-(source, tag) FIFO buckets
 // keyed for O(log buckets) exact-match receives — the common case on the
-// sweep hot path, where many concurrent jobs contend on their mailboxes —
-// with a sequence-number fallback for kAnySource / kAnyTag wildcards that
-// preserves global arrival order exactly like the old linear scan did.
-//
-// Resilience hooks: a mailbox carries its (job, rank) identity so a blocked
-// pop can register with fault::WaitRegistry while a sweep watchdog is active
-// (and unwind when the watchdog dooms it), and an optional receive timeout —
-// set by Job when a fault plan can drop messages — turns an otherwise
-// permanent hang into a diagnostic error naming the blocked (rank, source,
-// tag). With no watchdog and no timeout, pop waits exactly as before.
+// sweep hot path — with a sequence-number fallback for kAnySource / kAnyTag
+// wildcards that preserves global arrival order exactly like a linear scan.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <utility>
 
 #include "mp/buffer.hpp"
@@ -40,6 +33,10 @@ namespace fibersim::mp {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
+namespace detail {
+class FiberSet;
+}
+
 struct Message {
   int source = 0;
   int tag = 0;
@@ -48,36 +45,32 @@ struct Message {
 
 class Mailbox {
  public:
-  /// Deposit a message (thread-safe, never blocks).
+  /// Deposit a message (never blocks); wakes the owner if it is parked on a
+  /// receive this message matches.
   void push(Message message);
 
-  /// Block until a message matching (source, tag) arrives and return it.
-  /// kAnySource / kAnyTag match anything. Throws fibersim::Error if the
-  /// mailbox is poisoned, holds no match, and the source has finished (or
-  /// is kAnySource, or no sender state is attached).
+  /// Return the oldest message matching (source, tag), parking the owner's
+  /// fiber until one arrives. kAnySource / kAnyTag match anything. Throws
+  /// fibersim::Error if no match is queued and the mailbox is poisoned, or
+  /// if it belongs to no job (nothing could ever arrive).
   Message pop(int source, int tag);
 
   /// Non-blocking probe: true if a matching message is queued.
   bool probe(int source, int tag) const;
 
-  /// Mark the job failed and wake every waiter to re-check (see pop()).
+  /// Make every receive that finds no match throw, and wake the owner.
   void poison();
 
-  /// Attach the job's per-rank "finished" flags: finished[s] is true once
-  /// rank s can send nothing more. Must outlive the mailbox's pops.
-  void set_senders(const std::atomic<bool>* finished);
+  /// Let pop() park on `fibers` as fiber `owner` (set by Job before any
+  /// rank runs).
+  void attach(detail::FiberSet* fibers, int owner);
+
+  /// True while the owner is parked in pop(); `*source` and `*tag` name the
+  /// receive it waits on.
+  bool parked_on(int* source, int* tag) const;
 
   /// Queued message count (diagnostics/tests).
-  std::size_t pending() const;
-
-  /// Label this mailbox for watchdog diagnostics (set by Job before any
-  /// rank runs; defaults keep pop silent in the registry).
-  void set_identity(int job, int rank);
-
-  /// Make blocked pops give up after `timeout_s` with a diagnostic error
-  /// instead of waiting forever (0 restores indefinite waits). Set by Job
-  /// when an active fault plan can drop messages.
-  void set_recv_timeout(double timeout_s);
+  std::size_t pending() const { return size_; }
 
  private:
   struct Sequenced {
@@ -89,19 +82,18 @@ class Mailbox {
   /// Bucket holding the oldest (lowest-seq) message matching (source, tag),
   /// or end(). Exact keys look up directly; wildcards scan bucket fronts —
   /// bounded by the number of distinct in-flight (source, tag) pairs, not by
-  /// the number of queued messages. Caller holds mutex_.
+  /// the number of queued messages.
   BucketMap::iterator find_bucket(int source, int tag);
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
   BucketMap buckets_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
   bool poisoned_ = false;
-  const std::atomic<bool>* finished_ = nullptr;
-  int job_ = -1;
-  int rank_ = -1;
-  double recv_timeout_s_ = 0.0;
+  detail::FiberSet* fibers_ = nullptr;
+  int owner_ = -1;
+  bool parked_ = false;
+  int wait_source_ = kAnySource;
+  int wait_tag_ = kAnyTag;
 };
 
 }  // namespace fibersim::mp

@@ -11,8 +11,9 @@
 // many host threads execute a team — only on T.
 //
 // Thread *placement* is a model concept (topo::Binding) consumed by the
-// machine model, not by this class. Host parallelism comes from one OS thread
-// per rank (mp::Job) and from concurrent sweep slots (core::SweepPool).
+// machine model, not by this class. A job's ranks share one host thread
+// (mp::Job runs them as fibers); host parallelism comes from concurrent
+// sweep slots (core::SweepPool) and serve workers.
 #pragma once
 
 #include <cstdint>

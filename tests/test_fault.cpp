@@ -1,6 +1,6 @@
 // Tests for fibersim::fault and the resilient sweep machinery: plan parsing,
 // deterministic fault decisions, Runner retry (no wedged cache entries),
-// per-slot sweep failure isolation, watchdog recovery of blocked mailboxes,
+// per-slot sweep failure isolation, typed failure of a deadlocked job,
 // journal kill+resume, and the byte-identity contract — transient faults plus
 // retries converge to the fault-free report bytes.
 #include <gtest/gtest.h>
@@ -65,7 +65,7 @@ TEST(FaultPlan, DefaultsAreBenign) {
 TEST(FaultPlan, ParsesEveryKey) {
   const fault::Plan plan = fault::Plan::parse(
       "seed=7;transient=2;mp.drop=0.25;mp.delay=0.5;mp.dup=0.125;"
-      "mp.rankdeath=0.01;mp.delay_ms=3;mp.timeout_ms=250;rt.throw=0.0625;"
+      "mp.rankdeath=0.01;mp.delay_ms=3;rt.throw=0.0625;"
       "run.fail=1;predict.fail=2");
   EXPECT_EQ(plan.seed, 7u);
   EXPECT_EQ(plan.transient, 2);
@@ -74,7 +74,6 @@ TEST(FaultPlan, ParsesEveryKey) {
   EXPECT_DOUBLE_EQ(plan.mp_dup, 0.125);
   EXPECT_DOUBLE_EQ(plan.mp_rank_death, 0.01);
   EXPECT_DOUBLE_EQ(plan.mp_delay_ms, 3.0);
-  EXPECT_DOUBLE_EQ(plan.mp_timeout_ms, 250.0);
   EXPECT_DOUBLE_EQ(plan.rt_throw, 0.0625);
   EXPECT_EQ(plan.run_fail, 1);
   EXPECT_EQ(plan.predict_fail, 2);
@@ -98,6 +97,8 @@ TEST(FaultPlan, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(fault::Plan::parse("mp.drop=-0.1"), Error);
   EXPECT_THROW(fault::Plan::parse("transient=-1"), Error);
   EXPECT_THROW(fault::Plan::parse("mp.drop"), Error);
+  // Jobs report a deadlock at once, so the old receive timeout is gone.
+  EXPECT_THROW(fault::Plan::parse("mp.timeout_ms=250"), Error);
 }
 
 TEST(FaultPlan, InstallTogglesEnabled) {
@@ -120,8 +121,6 @@ TEST(FaultClassify, MarkersMapToClasses) {
             ErrorClass::kInjected);
   EXPECT_EQ(fault::classify("fault: recv timeout: rank 1"),
             ErrorClass::kTimeout);
-  EXPECT_EQ(fault::classify("fault: watchdog: no progress"),
-            ErrorClass::kWatchdog);
   EXPECT_EQ(fault::classify("mp job aborted (rank 2)"), ErrorClass::kPoison);
   EXPECT_EQ(fault::classify("something else entirely"), ErrorClass::kOther);
   EXPECT_STREQ(fault::error_class_name(ErrorClass::kInjected), "injected");
@@ -187,33 +186,6 @@ TEST(FaultSession, RunFailIsCountBased) {
   EXPECT_TRUE(fault::Session(plan, 1, 0).should_fail_native_run());
   EXPECT_TRUE(fault::Session(plan, 1, 1).should_fail_native_run());
   EXPECT_FALSE(fault::Session(plan, 1, 2).should_fail_native_run());
-}
-
-// ----- wait registry ------------------------------------------------------
-
-TEST(WaitRegistry, SnapshotDescribeAndDoom) {
-  auto& registry = fault::WaitRegistry::instance();
-  registry.watch(true);
-  const std::uint64_t id = registry.add(3, 1, 0, 42);
-  const auto rows = registry.snapshot();
-  ASSERT_GE(rows.size(), 1u);
-  bool found = false;
-  for (const auto& row : rows) {
-    if (row.job == 3 && row.rank == 1 && row.source == 0 && row.tag == 42) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  EXPECT_NE(registry.describe().find("rank 1"), std::string::npos);
-
-  std::string reason;
-  EXPECT_FALSE(registry.doomed(id, &reason));
-  EXPECT_EQ(registry.doom_older_than(0.0, "test doom"), 1);
-  EXPECT_TRUE(registry.doomed(id, &reason));
-  EXPECT_EQ(reason, "test doom");
-  registry.remove(id);
-  EXPECT_FALSE(registry.doomed(id, &reason));
-  registry.watch(false);
 }
 
 // ----- runner retry (satellite: once_flag replacement) --------------------
@@ -392,7 +364,7 @@ TEST(ByteIdentity, TransientMessageDropsPlusRetriesMatchFaultFree) {
   const auto clean = SweepPool(1).run(clean_runner, configs);
 
   fault::ScopedPlan scoped(fault::Plan::parse(
-      "seed=11;transient=1;mp.drop=0.05;mp.timeout_ms=150"));
+      "seed=11;transient=1;mp.drop=0.05"));
   for (int jobs : {1, 4}) {
     Runner runner;
     SweepControl control;
@@ -462,25 +434,25 @@ TEST(DegradedReports, KeepGoingStillThrowsForBestOfReports) {
   EXPECT_THROW(core::phase_breakdown_table(ctx), Error);
 }
 
-// ----- watchdog -----------------------------------------------------------
+// ----- deadlock -----------------------------------------------------------
 
-TEST(Watchdog, DoomsBlockedMailboxWaitsInsteadOfHanging) {
-  // Drop everything, disable the per-recv timeout: without the watchdog this
-  // sweep would block forever in Mailbox::pop.
-  fault::ScopedPlan scoped(
-      fault::Plan::parse("mp.drop=1.0;mp.timeout_ms=0"));
+TEST(Deadlock, DroppedMessagesFailTypedInsteadOfHanging) {
+  // Drop everything: every rank parks on a message that never comes, so
+  // the stalled job fails at once instead of blocking the sweep forever.
+  fault::ScopedPlan scoped(fault::Plan::parse("mp.drop=1.0"));
   Runner runner;
   SweepControl control;
-  control.watchdog_s = 0.2;
   control.keep_going = true;
   const std::vector<ExperimentConfig> configs{small_ffvc(2, 1)};
   const SweepOutcome outcome =
       SweepPool(1).run_resilient(runner, configs, control);
   ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].reason, "watchdog");
-  // The diagnostic names the blocked (rank, source, tag) triple.
-  EXPECT_NE(outcome.failures[0].message.find("blocked"), std::string::npos);
-  EXPECT_NE(outcome.failures[0].message.find("rank"), std::string::npos);
+  EXPECT_EQ(outcome.failures[0].reason, "timeout");
+  // The diagnostic names each blocked (rank, source, tag) triple.
+  const std::string& message = outcome.failures[0].message;
+  EXPECT_NE(message.find("deadlock"), std::string::npos) << message;
+  EXPECT_NE(message.find("rank 0 recv(src="), std::string::npos) << message;
+  EXPECT_NE(message.find("rank 1 recv(src="), std::string::npos) << message;
 }
 
 // ----- journal ------------------------------------------------------------

@@ -1,20 +1,26 @@
 // Unit and property tests for the message-passing runtime: point-to-point
-// semantics, collectives, traffic logging, failure unwinding, Cartesian
-// grids.
+// semantics, collectives, traffic logging, failure unwinding, fiber
+// scheduling (deadlock reports, determinism, stack depth), Cartesian grids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "fault/fault.hpp"
+#include "miniapps/miniapp.hpp"
 #include "mp/cart.hpp"
 #include "mp/job.hpp"
 #include "mp/mailbox.hpp"
+#include "rt/thread_team.hpp"
+#include "trace/recorder.hpp"
 
 namespace fibersim::mp {
 namespace {
@@ -374,86 +380,247 @@ TEST(Mailbox, FixedSourceAnyTagOldestFirst) {
 }
 
 TEST(Mailbox, ContendedAnySourceAnyTagStress) {
-  // Many producers, several distinct (source, tag) streams, consumers
-  // draining with wildcards: every message must arrive exactly once and
-  // per-stream FIFO order must hold.
+  // Many producer ranks, several distinct (source, tag) streams, consumer
+  // ranks draining with wildcards: every message must arrive exactly once
+  // and per-stream FIFO order must hold. Producers send in bursts gated by
+  // a credit from each consumer, so both sides park and wake many times.
+  constexpr int kConsumers = 4;
   constexpr int kProducers = 6;
   constexpr int kPerProducer = 500;
-  Mailbox box;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&box, p] {
+  constexpr int kBurst = 25;
+  constexpr int kCreditTag = 99;
+  // seen[consumer][producer]: values in arrival order.
+  std::vector<std::vector<std::vector<int>>> seen(
+      kConsumers, std::vector<std::vector<int>>(kProducers));
+  Job::run(kConsumers + kProducers, [&](Comm& comm) {
+    if (comm.rank() >= kConsumers) {
+      const int p = comm.rank() - kConsumers;
       for (int i = 0; i < kPerProducer; ++i) {
-        box.push(mbox::make(p, p % 3, p * kPerProducer + i));
+        if (i % kBurst == 0) {
+          for (int c = 0; c < kConsumers; ++c) {
+            (void)comm.recv_value<int>(c, kCreditTag);
+          }
+        }
+        comm.send_value(i % kConsumers, p % 3, p * kPerProducer + i);
       }
-    });
-  }
-
-  std::vector<std::vector<int>> seen(kProducers);
-  std::mutex seen_mutex;
-  std::vector<std::thread> consumers;
-  std::atomic<int> remaining{kProducers * kPerProducer};
-  for (int c = 0; c < 4; ++c) {
-    consumers.emplace_back([&] {
-      while (remaining.fetch_sub(1) > 0) {
-        const Message m = box.pop(kAnySource, kAnyTag);
-        std::lock_guard<std::mutex> lock(seen_mutex);
-        seen[static_cast<std::size_t>(m.source)].push_back(mbox::value_of(m));
+      return;
+    }
+    const int c = comm.rank();
+    const int bursts = kPerProducer / kBurst;
+    for (int b = 0; b < bursts; ++b) {
+      for (int p = 0; p < kProducers; ++p) {
+        comm.send_value(kConsumers + p, kCreditTag, b);
       }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
+      // This consumer's share of each producer's burst: the indices i with
+      // i % kConsumers == c.
+      int expected = 0;
+      for (int i = b * kBurst; i < (b + 1) * kBurst; ++i) {
+        if (i % kConsumers == c) ++expected;
+      }
+      for (int k = 0; k < expected * kProducers; ++k) {
+        const int v = comm.recv_value<int>(kAnySource, kAnyTag);
+        seen[static_cast<std::size_t>(c)]
+            [static_cast<std::size_t>(v / kPerProducer)]
+                .push_back(v);
+      }
+    }
+  });
 
-  EXPECT_EQ(box.pending(), 0u);
   for (int p = 0; p < kProducers; ++p) {
-    auto& vals = seen[static_cast<std::size_t>(p)];
-    ASSERT_EQ(vals.size(), static_cast<std::size_t>(kPerProducer));
-    // Wildcard pops may interleave across consumers, but each producer's
-    // stream is one (source, tag) bucket: sorted == FIFO was preserved
-    // per consumer; globally every value appears exactly once.
-    std::sort(vals.begin(), vals.end());
+    std::vector<int> all;
+    for (int c = 0; c < kConsumers; ++c) {
+      const auto& vals =
+          seen[static_cast<std::size_t>(c)][static_cast<std::size_t>(p)];
+      // One (source, tag) stream per producer and consumer: strict FIFO.
+      EXPECT_TRUE(std::is_sorted(vals.begin(), vals.end()))
+          << "consumer " << c << " producer " << p;
+      all.insert(all.end(), vals.begin(), vals.end());
+    }
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(kPerProducer));
+    std::sort(all.begin(), all.end());
     for (int i = 0; i < kPerProducer; ++i) {
-      EXPECT_EQ(vals[static_cast<std::size_t>(i)], p * kPerProducer + i);
+      EXPECT_EQ(all[static_cast<std::size_t>(i)], p * kPerProducer + i);
     }
   }
 }
 
 TEST(Mailbox, ContendedExactMatchStress) {
-  // One consumer per (source, tag) stream popping exact keys while all
-  // producers push concurrently — the indexed hot path under contention.
+  // One producer rank per (source, tag) stream; the consumer rank pops the
+  // streams by exact key in round-robin order, parking whenever the stream
+  // it wants has not been produced yet — the indexed hot path.
   constexpr int kStreams = 5;
   constexpr int kPerStream = 400;
-  Mailbox box;
-  std::vector<std::thread> threads;
-  for (int s = 0; s < kStreams; ++s) {
-    threads.emplace_back([&box, s] {
+  constexpr int kBurst = 40;
+  constexpr int kCreditTag = 99;
+  Job::run(kStreams + 1, [&](Comm& comm) {
+    if (comm.rank() > 0) {
+      const int s = comm.rank();
       for (int i = 0; i < kPerStream; ++i) {
-        box.push(mbox::make(s, s + 10, i));
+        if (i % kBurst == 0) (void)comm.recv_value<int>(0, kCreditTag);
+        comm.send_value(0, s + 10, i);
       }
-    });
-    threads.emplace_back([&box, s] {
-      for (int i = 0; i < kPerStream; ++i) {
-        EXPECT_EQ(mbox::value_of(box.pop(s, s + 10)), i);  // strict FIFO
+      return;
+    }
+    for (int i = 0; i < kPerStream; ++i) {
+      if (i % kBurst == 0) {
+        for (int s = 1; s <= kStreams; ++s) comm.send_value(s, kCreditTag, i);
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(box.pending(), 0u);
+      for (int s = 1; s <= kStreams; ++s) {
+        EXPECT_EQ(comm.recv_value<int>(s, s + 10), i);  // strict FIFO
+      }
+    }
+  });
 }
 
 TEST(Mailbox, PoisonUnblocksWildcardWaiter) {
+  bool waiter_unwound = false;
+  try {
+    Job::run(2, [&](Comm& comm) {
+      if (comm.rank() == 1) throw Error("rank 1 failed");
+      try {
+        (void)comm.recv_value<int>(kAnySource, kAnyTag);
+      } catch (const Error& e) {
+        waiter_unwound =
+            std::string(e.what()).find("poisoned") != std::string::npos;
+        throw;
+      }
+    });
+    FAIL() << "expected the job to rethrow";
+  } catch (const Error& e) {
+    // The root cause wins over the poison unwind it caused.
+    EXPECT_STREQ(e.what(), "rank 1 failed");
+  }
+  EXPECT_TRUE(waiter_unwound);
+
   Mailbox box;
-  std::thread waiter([&box] {
-    EXPECT_THROW((void)box.pop(kAnySource, kAnyTag), Error);
-  });
   box.poison();
-  waiter.join();
   EXPECT_THROW((void)box.pop(0, 0), Error);
   // A message queued after the poison is still delivered.
   box.push(mbox::make(0, 7, 1));
   EXPECT_EQ(box.pop(0, 7).tag, 7);
   EXPECT_THROW((void)box.pop(0, 7), Error);
+}
+
+TEST(Mailbox, PopWithNoMatchOutsideAJobThrows) {
+  Mailbox box;
+  EXPECT_THROW((void)box.pop(0, 0), Error);
+}
+
+// ----- fiber scheduling -----
+
+TEST(Fibers, ReceiveCycleThrowsTypedDeadlockAtOnce) {
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    Job::run(2, [](Comm& comm) {
+      const int peer = 1 - comm.rank();
+      (void)comm.recv_value<int>(peer, 7 + comm.rank());
+    });
+    FAIL() << "expected a deadlock error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(fault::classify(what), fault::ErrorClass::kTimeout) << what;
+    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0 recv(src=1, tag=7)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank 1 recv(src=0, tag=8)"), std::string::npos)
+        << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+}
+
+TEST(Fibers, ScheduleIsDeterministicAndOnTheCallersThread) {
+  constexpr int kRanks = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto trace_once = [&] {
+    std::vector<std::pair<int, int>> events;  // (rank, step)
+    bool on_caller = true;
+    Job::run(kRanks, [&](Comm& comm) {
+      const int r = comm.rank();
+      const int next = (r + 1) % kRanks;
+      const int prev = (r + kRanks - 1) % kRanks;
+      for (int step = 0; step < 6; ++step) {
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+        events.emplace_back(r, step);
+        if (r % 2 == step % 2) comm.send_value(next, step, r);
+        if (prev % 2 == step % 2) (void)comm.recv_value<int>(prev, step);
+        if (step == 3) (void)comm.allreduce_sum(1.0);
+      }
+    });
+    EXPECT_TRUE(on_caller);
+    return events;
+  };
+  const auto first = trace_once();
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kRanks * 6));
+  for (int run = 1; run < 100; ++run) {
+    ASSERT_EQ(trace_once(), first) << "run " << run;
+  }
+}
+
+TEST(Fibers, MaximumWidthJobCompletes) {
+  constexpr int kRanks = 4096;
+  int finished = 0;
+  Job::run(kRanks, [&](Comm& comm) {
+    const int next = (comm.rank() + 1) % kRanks;
+    const int prev = (comm.rank() + kRanks - 1) % kRanks;
+    comm.send_value(next, 0, comm.rank());
+    EXPECT_EQ(comm.recv_value<int>(prev, 0), prev);
+    EXPECT_DOUBLE_EQ(comm.allreduce_sum(1.0), kRanks);
+    ++finished;
+  });
+  EXPECT_EQ(finished, kRanks);
+}
+
+TEST(Fibers, ThrowingRankUnwindsItsParkedPeers) {
+  constexpr int kRanks = 6;
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  int unwound = 0;
+  try {
+    Job::run(kRanks, [&](Comm& comm) {
+      if (comm.rank() == 2) throw Error("rank 2 failed");
+      const Guard guard{&unwound};
+      // Parks forever: rank 2 never sends.
+      (void)comm.recv_value<int>(2, 0);
+    });
+    FAIL() << "expected the job to rethrow";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 2 failed");
+  }
+  EXPECT_EQ(unwound, kRanks - 1);
+}
+
+TEST(Fibers, MiniappStacksStayUnderHalfTheirSize) {
+  // Measured on a fresh host thread, whose stack pool starts empty: the
+  // deepest page any rank of any app touched at 48x1 and 4x12.
+  std::size_t high_water = 0;
+  std::thread probe([&] {
+    for (const std::string& name : apps::registry_names()) {
+      for (const auto& [ranks, threads] :
+           std::vector<std::pair<int, int>>{{48, 1}, {4, 12}}) {
+        Job::run(ranks, [&](Comm& comm) {
+          rt::ThreadTeam team(threads);
+          trace::Recorder recorder(&comm);
+          apps::RunContext ctx;
+          ctx.comm = &comm;
+          ctx.team = &team;
+          ctx.recorder = &recorder;
+          ctx.dataset = apps::Dataset::kSmall;
+          ctx.iterations = 1;
+          (void)apps::create_miniapp(name)->run(ctx);
+        });
+      }
+    }
+    high_water = Job::stack_high_water();
+  });
+  probe.join();
+  RecordProperty("stack_high_water", static_cast<int>(high_water));
+  std::printf("fiber stack high-water mark: %zu of %zu bytes\n", high_water,
+              Job::stack_bytes());
+  EXPECT_GT(high_water, 0u);
+  EXPECT_LE(high_water, Job::stack_bytes() / 2);
 }
 
 // ----- comm log -----

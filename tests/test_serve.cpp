@@ -543,10 +543,12 @@ TEST(Serve, ExpiredQueuedWorkIsShedWithTypedDeadline) {
 
   // Pipeline: a cold run occupies the single worker, so the 1 ms deadline
   // on the second request expires while it queues — it must be shed with a
-  // typed DEADLINE, never executed, never hung.
+  // typed DEADLINE, never executed, never hung. The occupier is a 48-rank
+  // run, several milliseconds of native work, so the deadline expires
+  // before it finishes.
   ServeClient client(server.socket_path());
   client.send_line(
-      R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
+      R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":48,)"
       R"("threads":1,"iterations":1,"seed":9001,"id":"occupier"})");
   client.send_line(
       R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
