@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   };
   PathResult mp_result;
   // sends + recvs + allreduce per round, per rank: the op count the hook
-  // executes on (allreduce fans out internally, counted as one op here).
+  // executes on (an allreduce sends no messages and is one op).
   mp_result.ops = static_cast<double>(kRanks) * kRounds * 3;
   mp_result.off_s = time_best(repeats, [&] { mp_workload(nullptr); });
   {

@@ -1,5 +1,4 @@
-// perf_trace_cache — cold vs warm sweep through the persistent trace store,
-// plus the zero-copy message-payload micro-benchmark.
+// perf_trace_cache — cold vs warm sweep through the persistent trace store.
 //
 // Sweep leg: the same multi-app sweep (apps x rank/thread splits x the
 // processor comparison set — processors share native runs, so the store is
@@ -14,12 +13,7 @@
 //
 // Both legs run with --jobs 1 and --jobs 4; all four serialized outputs must
 // agree bytewise (the determinism contract extends to the disk tier). The
-// bench aborts with a nonzero exit if any invariant fails.
-//
-// Payload leg: fan-out cost of mp::Buffer's refcounted payloads. A 1 MiB
-// broadcast over 8 ranks shares one immutable buffer across every hop
-// (one allocation + memcpy at the root); the baseline emulates the old
-// copy-per-destination behaviour with a root send_bytes loop. Results go to
+// bench aborts with a nonzero exit if any invariant fails. Results go to
 // stdout and a JSON file (default BENCH_trace_cache.json — run from the
 // repo root to refresh the committed artifact).
 #include <bit>
@@ -34,14 +28,12 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
 #include "core/runner.hpp"
 #include "core/sweep_pool.hpp"
 #include "machine/processor.hpp"
-#include "mp/job.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace_store.hpp"
 
@@ -91,38 +83,11 @@ PassStats run_pass(const std::vector<core::ExperimentConfig>& configs,
   return stats;
 }
 
-/// Broadcast `bytes` from rank 0 over `ranks` ranks, `repeats` times.
-/// shared=true uses bcast_bytes (one refcounted buffer for the whole tree);
-/// shared=false emulates copy-per-destination with a root send loop.
-double time_fanout(int ranks, std::size_t bytes, int repeats, bool shared) {
-  std::vector<std::byte> payload(bytes, std::byte{0x5a});
-  WallTimer timer;
-  mp::Job::run(ranks, [&](mp::Comm& comm) {
-    std::vector<std::byte> buf(bytes);
-    if (comm.rank() == 0) {
-      std::memcpy(buf.data(), payload.data(), bytes);
-    }
-    for (int r = 0; r < repeats; ++r) {
-      if (shared) {
-        comm.bcast_bytes(buf.data(), bytes, 0);
-      } else if (comm.rank() == 0) {
-        for (int dst = 1; dst < comm.size(); ++dst) {
-          comm.send_bytes(dst, r, buf.data(), bytes);
-        }
-      } else {
-        comm.recv_bytes(0, r, buf.data(), bytes);
-      }
-    }
-  });
-  return timer.elapsed();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> app_names = {"ffvc", "ffb", "modylas"};
   apps::Dataset dataset = apps::Dataset::kSmall;
-  int repeats = 16;
   std::string out_path = "BENCH_trace_cache.json";
   std::string cache_root;
   for (int i = 1; i < argc; ++i) {
@@ -139,15 +104,6 @@ int main(int argc, char** argv) {
     } else if (a == "--dataset") {
       dataset = value() == "large" ? apps::Dataset::kLarge
                                    : apps::Dataset::kSmall;
-    } else if (a == "--repeats") {
-      const std::string v = value();
-      const std::optional<int> n = fibersim::parse_i32(v);
-      if (!n || *n < 1) {
-        std::cerr << "--repeats: expected an integer >= 1, got '" << v
-                  << "'\n";
-        std::exit(2);
-      }
-      repeats = *n;
     } else if (a == "--out") {
       out_path = value();
     } else if (a == "--cache-dir") {
@@ -233,14 +189,6 @@ int main(int argc, char** argv) {
     fs::remove_all(cache_root, ec);
   }
 
-  // Payload fan-out micro-benchmark (median-free, single timing pass each —
-  // the two legs move identical bytes so the ratio is the signal).
-  const int fan_ranks = 8;
-  const std::size_t fan_bytes = 1u << 20;
-  const double fan_copy_s = time_fanout(fan_ranks, fan_bytes, repeats, false);
-  const double fan_shared_s = time_fanout(fan_ranks, fan_bytes, repeats, true);
-  const double fan_ratio = fan_shared_s > 0.0 ? fan_copy_s / fan_shared_s : 0.0;
-
   // Stdout summary goes through the shared report emitter (same renderer as
   // the experiment registry).
   ReportArtifact artifact;
@@ -262,12 +210,6 @@ int main(int argc, char** argv) {
       "perf_trace_cache: cold vs warm sweep through the store", table);
   section.notes.push_back(strfmt("sweep: %zu configs, %zu unique execution keys",
                                  configs.size(), unique_keys));
-  section.notes.push_back(
-      strfmt("fan-out %d ranks x %zu KiB x %d: per-destination copies %g s, "
-             "shared buffer %g s (%gx)",
-             fan_ranks, fan_bytes >> 10, repeats, fan_copy_s, fan_shared_s,
-             fan_ratio));
-  artifact.metrics.push_back({"fanout_copy_over_shared", fan_ratio, "x"});
   EmitOptions emit_opts;
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
@@ -294,17 +236,7 @@ int main(int argc, char** argv) {
         .field("warm_speedup", speedup)
         .end_object();
   }
-  json.end_array()
-      .key("payload_fanout")
-      .begin_object()
-      .field("ranks", fan_ranks)
-      .field("payload_bytes", fan_bytes)
-      .field("repeats", repeats)
-      .field("per_destination_copy_seconds", fan_copy_s)
-      .field("shared_buffer_seconds", fan_shared_s)
-      .field("copy_over_shared_ratio", fan_ratio)
-      .end_object()
-      .end_object();
+  json.end_array().end_object();
 
   std::ofstream out(out_path);
   out << std::move(json).take();

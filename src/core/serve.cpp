@@ -5,6 +5,9 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cerrno>
 #include <chrono>
@@ -68,6 +71,20 @@ void ignore_sigpipe() {
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = SIG_IGN;
   ::sigaction(SIGPIPE, &sa, nullptr);
+}
+
+/// Workers run native jobs whose arrays are megabytes each. glibc raises its
+/// mmap threshold to the size of every such block it frees, after which later
+/// blocks come from the heap arena of whichever worker ran the job and stay
+/// resident there, so the daemon's peak RSS depended on which worker drew
+/// which job. A fixed threshold keeps every block of 1 MiB or more in a
+/// mapping of its own that goes back to the system when freed. Process-wide,
+/// like the SIGPIPE disposition; set once.
+void fix_mmap_threshold() {
+#if defined(__GLIBC__)
+  static const int set = ::mallopt(M_MMAP_THRESHOLD, 1 << 20);
+  (void)set;
+#endif
 }
 
 }  // namespace
@@ -199,6 +216,7 @@ void Server::start() {
     throw Error("serve: server already started");
   }
   ignore_sigpipe();
+  fix_mmap_threshold();
 
   sockaddr_un addr;
   std::memset(&addr, 0, sizeof(addr));

@@ -10,9 +10,11 @@
 //
 // Injection sites (hooks cost one pointer/atomic check when no plan is
 // active):
-//   * mp     — message drop/delay/duplication on the send path and rank
-//              death at communication ops (a receive whose message was
-//              dropped stalls its job, which Job reports as a deadlock);
+//   * mp     — message drop/delay/duplication on user point-to-point
+//              sends (collectives send no messages) and rank death at
+//              communication ops, each send, receive or collective one op
+//              (a receive whose message was dropped stalls its job, which
+//              Job reports as a deadlock);
 //   * rt     — worker throw at parallel-region entry;
 //   * core   — native-run and prediction failures inside the Runner.
 //

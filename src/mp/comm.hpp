@@ -5,15 +5,16 @@
 //     exchange patterns cannot deadlock;
 //   * recv blocks until a matching (source, tag) message arrives and requires
 //     the exact payload size — a size mismatch is a protocol error;
-//   * collectives are implemented over point-to-point with the standard
-//     algorithms (binomial bcast/reduce, recursive allgather, direct
-//     alltoall) and must be entered by every rank of the job.
+//   * collectives (the allreduces and the allgather the miniapps call) must
+//     be entered by every rank of the job in the same order; they send no
+//     messages: each rank parks at an in-memory rendezvous and the last one
+//     to arrive computes every rank's output (see detail::JobState).
 //
 // Every operation is recorded in the rank's CommLog for the cost model.
 #pragma once
 
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <span>
@@ -26,7 +27,16 @@ namespace fibersim::mp {
 
 namespace detail {
 struct JobState;  // shared between the ranks of one Job
+
+/// What a collective computes: the elementwise sum or max of every rank's
+/// doubles, or every rank's block in rank order.
+enum class CollectiveOp { kSum, kMax, kAllgather };
+
+inline CollectiveKind kind_of(CollectiveOp op) {
+  return op == CollectiveOp::kAllgather ? CollectiveKind::kAllgather
+                                        : CollectiveKind::kAllreduce;
 }
+}  // namespace detail
 
 class Comm {
  public:
@@ -74,31 +84,13 @@ class Comm {
   }
 
   // ----- collectives -----
-  void barrier();
-  void bcast_bytes(void* data, std::size_t bytes, int root);
-  /// Elementwise sum-reduce of doubles to `root`.
-  void reduce_sum(std::span<double> data, int root);
   void allreduce_sum(std::span<double> data);
   double allreduce_sum(double value);
   double allreduce_max(double value);
-  double allreduce_min(double value);
   std::uint64_t allreduce_sum_u64(std::uint64_t value);
-  /// Gather fixed-size blocks to root; recv must hold size()*bytes at root.
-  void gather_bytes(const void* send, std::size_t bytes, void* recv, int root);
+  /// Every rank's `bytes`-byte block, in rank order: recv holds size()*bytes.
   void allgather_bytes(const void* send, std::size_t bytes, void* recv);
-  /// Personalised exchange: send block i to rank i; blocks are `bytes` each.
-  void alltoall_bytes(const void* send, std::size_t bytes, void* recv);
-  /// Inclusive prefix sum.
-  double scan_sum(double value);
-  /// Elementwise sum over all ranks, then scatter block i to rank i:
-  /// `send` holds size()*block_elems doubles, `recv` holds block_elems.
-  void reduce_scatter_sum(std::span<const double> send,
-                          std::span<double> recv);
 
-  template <typename T>
-  void bcast(std::span<T> data, int root) {
-    bcast_bytes(data.data(), data.size_bytes(), root);
-  }
   template <typename T>
   void allgather(const T& mine, std::span<T> all) {
     allgather_bytes(&mine, sizeof(T), all.data());
@@ -118,45 +110,24 @@ class Comm {
         rank_(rank),
         size_(size),
         vrank_(vrank),
-        vsize_(vsize),
-        collapsed_(true) {}
+        vsize_(vsize) {}
 
   Mailbox& mailbox_of(int rank) const;
-  /// Generic elementwise binary-op allreduce over doubles.
-  template <typename Op>
-  void allreduce_op(std::span<double> data, Op op, CollectiveKind kind);
-
-  // ----- collapsed-mode data planes -----
-  // Logging is identical to the full-run paths; only the data movement is
-  // replaced: p2p becomes a self-tiling loopback, reductions weight each
-  // physical slot by its class population (see job.hpp).
-  enum class ReduceMode { kWeightedSum, kMax, kMin };
-  /// Map a collective root (virtual rank) to its physical slot; the root
-  /// must be a class representative so root-only side effects execute.
-  int root_slot(int root) const;
-  void collapsed_allreduce(std::span<double> data, ReduceMode mode,
-                           CollectiveKind kind);
-  void collapsed_reduce_sum(std::span<double> data, int root);
-  void collapsed_gather(const void* send, std::size_t bytes, void* recv,
-                        int root);
-  void collapsed_allgather(const void* send, std::size_t bytes, void* recv);
-  void collapsed_alltoall(const void* send, std::size_t bytes, void* recv);
-  double collapsed_scan_sum(double value);
-  void collapsed_reduce_scatter(std::span<const double> send,
-                                std::span<double> recv);
+  /// Log the collective, then meet the job's other ranks at the rendezvous.
+  void collective(detail::CollectiveOp op, const void* in, void* out,
+                  std::size_t bytes);
 
   detail::JobState* state_;
   int rank_;
   int size_;
   int vrank_;
   int vsize_;
-  bool collapsed_ = false;
   /// Self-tiling loopback: collapsed sends queue their payload here by tag
   /// and collapsed recvs pop it (FIFO per tag). For symmetric exchange
   /// patterns this makes the representative's world an exact periodic
   /// tiling of itself; a recv with no queued payload (a non-periodic
   /// boundary partner) zero-fills instead.
-  std::map<int, std::deque<Buffer>> loopback_;
+  std::map<int, std::deque<std::vector<std::byte>>> loopback_;
   CommLog log_;
 };
 

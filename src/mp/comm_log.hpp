@@ -3,7 +3,9 @@
 // Point-to-point traffic is kept per peer (the runner maps peers to
 // topological distances through the Binding); collectives are kept per kind
 // with the payload size and communicator size, because they are costed by a
-// log-round formula rather than per message.
+// log-round formula rather than per message. The runtime issues only
+// allreduce and allgather; the other kinds stay because the trace format
+// and the cost model price every kind.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,11 @@
 //
 // Every slot of a Job runs as a stackful fiber (glibc ucontext) on the host
 // thread that called Job::run. A fiber runs until it parks (Mailbox::pop
-// found no match); the next runnable fiber in slot order after it then
-// resumes. wake() makes a parked fiber runnable again. One FiberSet lives on
-// one host thread, so nothing here needs a lock or an atomic, and the
-// schedule is a pure function of the program.
+// found no match, or a collective waits for the job's other ranks); the
+// next runnable fiber in slot order after it then resumes. wake() makes a
+// parked fiber runnable again. One FiberSet lives on one host thread, so
+// nothing here needs a lock or an atomic, and the schedule is a pure
+// function of the program.
 //
 // When no fiber is runnable but some have not finished, the job can make no
 // progress: the stall handler passed to run() must wake at least one fiber

@@ -30,9 +30,15 @@ std::string describe_deadlock(const detail::JobState& state) {
   for (int r = 0; r < state.ranks; ++r) {
     int source = 0;
     int tag = 0;
+    const detail::CollectiveEntry& entry =
+        state.rendezvous.entries[static_cast<std::size_t>(r)];
     if (state.mailboxes[static_cast<std::size_t>(r)].parked_on(&source,
                                                                &tag)) {
       out += strfmt(" rank %d recv(src=%d, tag=%d);", r, source, tag);
+    } else if (entry.parked) {
+      out += strfmt(" rank %d %s(call %llu);", entry.rank,
+                    collective_name(detail::kind_of(entry.op)),
+                    static_cast<unsigned long long>(entry.call));
     }
   }
   out.pop_back();
@@ -41,8 +47,9 @@ std::string describe_deadlock(const detail::JobState& state) {
 
 /// Runs `fn` on one fiber per slot of `state` under the Comm that
 /// `make_comm(slot)` builds and returns the per-slot logs. When no slot can
-/// run, every mailbox is poisoned so the parked slots unwind; with no slot
-/// failed before that, the job was deadlocked and throws that instead.
+/// run, every mailbox and the collective rendezvous are poisoned so the
+/// parked slots unwind; with no slot failed before that, the job was
+/// deadlocked and throws that instead.
 template <typename MakeComm>
 std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
                                const MakeComm& make_comm) {
@@ -52,6 +59,8 @@ std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
   std::string deadlock;
 
   detail::FiberSet fibers(state.ranks);
+  state.fibers = &fibers;
+  state.rendezvous.entries.resize(slots);
   for (int s = 0; s < state.ranks; ++s) {
     state.mailboxes[static_cast<std::size_t>(s)].attach(&fibers, s);
   }
@@ -71,6 +80,12 @@ std::vector<CommLog> run_slots(detail::JobState& state, const Job::RankFn& fn,
             [](const std::exception_ptr& e) { return e != nullptr; });
         if (!failed) deadlock = describe_deadlock(state);
         for (Mailbox& mbox : state.mailboxes) mbox.poison();
+        state.rendezvous.poisoned = true;
+        for (int s = 0; s < state.ranks; ++s) {
+          if (state.rendezvous.entries[static_cast<std::size_t>(s)].parked) {
+            fibers.wake(s);
+          }
+        }
       });
 
   if (!deadlock.empty()) throw Error(deadlock);

@@ -11,15 +11,22 @@
 // threw, every parked rank unwinds with a poison error and one exception is
 // rethrown to the caller, chosen by fault::ErrorClass priority, then by
 // lowest rank; if none threw, the job is deadlocked and throws a
-// fault::kTimeoutMarker error naming every blocked (rank, source, tag).
+// fault::kTimeoutMarker error naming every blocked rank: its receive
+// (source, tag) or the collective it waits in.
 // A rank must not communicate from inside a catch handler: the C++ runtime
 // keeps one caught-exception stack per host thread, which the job's fibers
 // share.
 //
+// Collectives meet at one in-memory rendezvous in JobState: each rank
+// records its operation, byte count and buffers, then parks; the last rank
+// to arrive computes every rank's output and wakes the rest. Full and
+// collapsed runs share it; only the fold differs (see Comm::collective).
+//
 // A fault::Session may be attached to a run: it drives message
-// drop/delay/duplication on every send path (user p2p and collective
-// internals alike) and rank death at communication ops. With no session
-// attached the only added cost is one null check per operation.
+// drop/delay/duplication on user point-to-point sends (collectives send no
+// messages) and rank death at communication ops, each collective counting
+// as one op. With no session attached the only added cost is one null
+// check per operation.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +45,34 @@ namespace fibersim::mp {
 class RankSymmetry;
 
 namespace detail {
+class FiberSet;
+
+/// One slot's part in the collective being gathered.
+struct CollectiveEntry {
+  CollectiveOp op = CollectiveOp::kSum;
+  std::size_t bytes = 0;
+  const void* in = nullptr;
+  void* out = nullptr;  ///< the same buffer as `in` for the allreduces
+  int rank = 0;         ///< the rank the app sees (virtual under collapse)
+  /// This slot's call count of the collective's kind, from its CommLog.
+  std::uint64_t call = 0;
+  bool parked = false;
+};
+
+/// Where the slots of a job meet for each collective.
+struct Rendezvous {
+  std::vector<CollectiveEntry> entries;  ///< one per slot
+  int arrived = 0;  ///< slots waiting in the open collective
+  int opener = 0;   ///< the first of them, whose entry the rest must match
+  /// Set when the job stalls: parked and later collectives throw.
+  bool poisoned = false;
+};
+
 struct JobState {
   std::vector<Mailbox> mailboxes;
   int ranks = 0;
+  FiberSet* fibers = nullptr;
+  Rendezvous rendezvous;
   /// Fault context for this run, or null. Owned by the caller of Job::run.
   const fault::Session* faults = nullptr;
   /// Per-(src, dst) send sequence numbers (src*ranks + dst), allocated only

@@ -1,14 +1,13 @@
 // Mailbox — the per-rank receive queue of the in-process message runtime.
 //
-// Senders deposit a refcounted immutable payload (mp::Buffer) into the
+// Senders deposit a message that owns a copy of its payload into the
 // destination mailbox (buffered, non-blocking send — the MPI "eager"
 // protocol); a receive with no matching (source, tag) message parks its
-// rank's fiber until one arrives. Delivery never copies payload bytes: the
-// one allocation + memcpy happens at the send site, and fan-out paths share
-// that allocation. MPI ordering semantics hold: messages from the same
-// source with the same tag are received in send order. Only the owning rank
-// pops its mailbox, so a push that matches the owner's parked receive is
-// what makes the owner runnable again.
+// rank's fiber until one arrives. Delivery moves the payload: its one
+// allocation and copy happen at the send site. MPI ordering semantics hold:
+// messages from the same source with the same tag are received in send
+// order. Only the owning rank pops its mailbox, so a push that matches the
+// owner's parked receive is what makes the owner runnable again.
 //
 // A job's ranks all run on one host thread (see FiberSet), so a mailbox
 // takes no lock. poison() makes every receive that finds no match throw;
@@ -25,8 +24,7 @@
 #include <deque>
 #include <map>
 #include <utility>
-
-#include "mp/buffer.hpp"
+#include <vector>
 
 namespace fibersim::mp {
 
@@ -40,7 +38,7 @@ class FiberSet;
 struct Message {
   int source = 0;
   int tag = 0;
-  Buffer payload;
+  std::vector<std::byte> payload;
 };
 
 class Mailbox {

@@ -1,6 +1,5 @@
 #include "mp/symmetry.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "common/error.hpp"
@@ -102,11 +101,6 @@ RankSymmetry RankSymmetry::build(const CollapseSpec& spec, int size) {
     sym.members_[static_cast<std::size_t>(it->second)].push_back(rank);
   }
   return sym;
-}
-
-std::int64_t RankSymmetry::members_at_most(int cls, int bound) const {
-  const std::vector<int>& m = members(cls);
-  return std::upper_bound(m.begin(), m.end(), bound) - m.begin();
 }
 
 std::optional<std::pair<int, int>> RankSymmetry::factor_dst(int cls,

@@ -81,9 +81,6 @@ class RankSymmetry {
   const std::vector<int>& members(int cls) const {
     return members_[static_cast<std::size_t>(cls)];
   }
-  /// Number of members of `cls` with rank id <= bound (prefix weight; the
-  /// collapsed scan_sum needs it).
-  std::int64_t members_at_most(int cls, int bound) const;
 
   /// Factor a representative's p2p destination as a (dim, dir) step on the
   /// cartesian grid, so the same send can be replayed from any member of

@@ -3,10 +3,12 @@
 // perform a decomposition-independent amount of total work.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <mutex>
 
 #include "common/error.hpp"
+#include "core/runner.hpp"
 #include "miniapps/miniapp.hpp"
 #include "mp/job.hpp"
 #include "rt/thread_team.hpp"
@@ -249,6 +251,73 @@ TEST(Miniapps, IterationsScaleTimedWork) {
       total_timed_flops(run_app("ffvc", 2, 1, Dataset::kSmall, 3).trace);
   EXPECT_GT(f3 / f1, 2.0);
   EXPECT_LT(f3 / f1, 3.0);
+}
+
+// Golden check values: the exact bits every app reports at fixed inputs,
+// full and collapsed. An app's check value folds its global reductions, so
+// any change to a collective's fold order (or to a kernel) moves these bits
+// even where the predictions, which depend on the trace shape only, stay.
+struct GoldenCase {
+  const char* app;
+  int ranks;
+  int threads;
+  int nodes;
+  bool collapse;
+  std::uint64_t bits;
+};
+
+constexpr GoldenCase kGolden[] = {
+    {"ccs_qcd", 4, 12, 1, false, 0x3ce7bc7d332f1713},
+    {"ccs_qcd", 48, 1, 1, false, 0x3ce7bc7d332f170e},
+    {"ccs_qcd", 16, 2, 2, true, 0x3ce31b4c3c1ae621},
+    {"ffvc", 4, 12, 1, false, 0xc0e3240e9b2b7c85},
+    {"ffvc", 48, 1, 1, false, 0xc0e3240e9b2b7c84},
+    {"ffvc", 16, 2, 2, true, 0xc0df187f0fe1139e},
+    {"nicam", 4, 12, 1, false, 0x3cb7bba790af502f},
+    {"nicam", 48, 1, 1, false, 0x3ca7bba790af502e},
+    {"nicam", 16, 2, 2, true, 0x3caaf9e3e83ccd20},
+    {"mvmc", 4, 12, 1, false, 0x3d9329c000000000},
+    {"mvmc", 48, 1, 1, false, 0x3d9329c000000000},
+    {"mvmc", 16, 2, 2, true, 0x3d49128000000000},
+    {"ngsa", 4, 12, 1, false, 0x4043000000000000},
+    {"ngsa", 48, 1, 1, false, 0x4043000000000000},
+    {"ngsa", 16, 2, 2, true, 0x4043000000000000},
+    {"modylas", 4, 12, 1, false, 0x3dba1d0d49180fc7},
+    {"modylas", 48, 1, 1, false, 0x3dba1d0d49180fc7},
+    {"modylas", 16, 2, 2, true, 0x3dbc20cca1212ce1},
+    {"ntchem", 4, 12, 1, false, 0x3ccbabccff123a5d},
+    {"ntchem", 48, 1, 1, false, 0x3cb6230a65a82eb5},
+    {"ntchem", 16, 2, 2, true, 0x3cc61d643f355817},
+    {"ffb", 4, 12, 1, false, 0x3f30848445020b35},
+    {"ffb", 48, 1, 1, false, 0x3f30848445020b32},
+    {"ffb", 16, 2, 2, true, 0x3f26b8219847535b},
+};
+
+TEST(Miniapps, CheckValuesMatchTheirGoldenBits) {
+  core::Runner runner;
+  for (const GoldenCase& g : kGolden) {
+    core::ExperimentConfig cfg;
+    cfg.app = g.app;
+    cfg.ranks = g.ranks;
+    cfg.threads = g.threads;
+    cfg.nodes = g.nodes;
+    cfg.collapse = g.collapse;
+    const std::size_t native_before = runner.collapse_native_ranks();
+    const core::ExperimentResult res = runner.run(cfg);
+    const auto bits = std::bit_cast<std::uint64_t>(res.check_value);
+    const std::string label = std::string(g.app) + " " +
+                              std::to_string(g.ranks) + "x" +
+                              std::to_string(g.threads) +
+                              (g.collapse ? " collapsed" : "");
+    EXPECT_TRUE(res.verified) << label;
+    EXPECT_EQ(bits, g.bits) << label << ": got 0x" << std::hex << bits;
+    if (g.collapse) {
+      // The case must really have run collapsed, not fallen back to full.
+      EXPECT_LT(runner.collapse_native_ranks() - native_before,
+                static_cast<std::size_t>(g.ranks))
+          << label;
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Unit and property tests for the message-passing runtime: point-to-point
-// semantics, collectives, traffic logging, failure unwinding, fiber
-// scheduling (deadlock reports, determinism, stack depth), Cartesian grids.
+// semantics, collectives and their rendezvous (full and collapsed folds,
+// mismatch errors, unwinding, deadlock reports), traffic logging, fiber
+// scheduling (determinism, stack depth), Cartesian grids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -19,6 +22,7 @@
 #include "mp/cart.hpp"
 #include "mp/job.hpp"
 #include "mp/mailbox.hpp"
+#include "mp/symmetry.hpp"
 #include "rt/thread_team.hpp"
 #include "trace/recorder.hpp"
 
@@ -124,9 +128,9 @@ TEST(P2p, ProbeSeesQueuedMessage) {
   Job::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send_value(1, 4, 1);
-      comm.barrier();
+      (void)comm.allreduce_sum(0.0);
     } else {
-      comm.barrier();  // after this the message must be queued
+      (void)comm.allreduce_sum(0.0);  // after this the message is queued
       EXPECT_TRUE(comm.probe(0, 4));
       EXPECT_FALSE(comm.probe(0, 5));
       (void)comm.recv_value<int>(0, 4);
@@ -134,12 +138,8 @@ TEST(P2p, ProbeSeesQueuedMessage) {
   });
 }
 
-TEST(P2p, RejectsReservedTags) {
-  EXPECT_THROW(Job::run(1,
-                        [](Comm& comm) {
-                          const int tag = 1 << 24;
-                          comm.send_value(0, tag, 1);
-                        }),
+TEST(P2p, RejectsNegativeTags) {
+  EXPECT_THROW(Job::run(1, [](Comm& comm) { comm.send_value(0, -3, 1); }),
                Error);
 }
 
@@ -159,37 +159,12 @@ TEST(Job, ExceptionInOneRankUnblocksOthers) {
 
 class CollectiveTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CollectiveTest, Bcast) {
-  for (int root = 0; root < std::min(GetParam(), 3); ++root) {
-    Job::run(GetParam(), [root](Comm& comm) {
-      std::vector<double> data(5, comm.rank() == root ? 3.25 : 0.0);
-      comm.bcast(std::span<double>(data), root);
-      for (double v : data) EXPECT_DOUBLE_EQ(v, 3.25);
-    });
-  }
-}
-
-TEST_P(CollectiveTest, ReduceSumToRoot) {
-  const int n = GetParam();
-  for (int root : {0, n - 1}) {
-    Job::run(n, [root, n](Comm& comm) {
-      std::vector<double> data{static_cast<double>(comm.rank()), 1.0};
-      comm.reduce_sum(std::span<double>(data), root);
-      if (comm.rank() == root) {
-        EXPECT_DOUBLE_EQ(data[0], n * (n - 1) / 2.0);
-        EXPECT_DOUBLE_EQ(data[1], n);
-      }
-    });
-  }
-}
-
-TEST_P(CollectiveTest, AllreduceSumMaxMin) {
+TEST_P(CollectiveTest, AllreduceSumAndMax) {
   const int n = GetParam();
   Job::run(n, [n](Comm& comm) {
     const double r = comm.rank();
     EXPECT_DOUBLE_EQ(comm.allreduce_sum(r), n * (n - 1) / 2.0);
     EXPECT_DOUBLE_EQ(comm.allreduce_max(r), n - 1.0);
-    EXPECT_DOUBLE_EQ(comm.allreduce_min(r + 5.0), 5.0);
     EXPECT_EQ(comm.allreduce_sum_u64(2), static_cast<std::uint64_t>(2 * n));
   });
 }
@@ -205,21 +180,7 @@ TEST_P(CollectiveTest, AllreduceVector) {
   });
 }
 
-TEST_P(CollectiveTest, GatherToRoot) {
-  const int n = GetParam();
-  Job::run(n, [n](Comm& comm) {
-    const int mine = 100 + comm.rank();
-    std::vector<int> all(static_cast<std::size_t>(n), -1);
-    comm.gather_bytes(&mine, sizeof(int), all.data(), 0);
-    if (comm.rank() == 0) {
-      for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(all[static_cast<std::size_t>(r)], 100 + r);
-      }
-    }
-  });
-}
-
-TEST_P(CollectiveTest, AllgatherRing) {
+TEST_P(CollectiveTest, AllgatherInRankOrder) {
   const int n = GetParam();
   Job::run(n, [n](Comm& comm) {
     const double mine = comm.rank() * 1.5;
@@ -231,89 +192,177 @@ TEST_P(CollectiveTest, AllgatherRing) {
   });
 }
 
-TEST_P(CollectiveTest, AlltoallPersonalised) {
-  const int n = GetParam();
-  Job::run(n, [n](Comm& comm) {
-    // Send block j = rank * 100 + j; expect to receive i * 100 + rank.
-    std::vector<int> send(static_cast<std::size_t>(n));
-    std::vector<int> recv(static_cast<std::size_t>(n), -1);
-    for (int j = 0; j < n; ++j) {
-      send[static_cast<std::size_t>(j)] = comm.rank() * 100 + j;
-    }
-    comm.alltoall_bytes(send.data(), sizeof(int), recv.data());
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(i)], i * 100 + comm.rank());
-    }
-  });
-}
-
-TEST_P(CollectiveTest, ReduceScatterSum) {
-  const int n = GetParam();
-  Job::run(n, [n](Comm& comm) {
-    // Block j element k = rank + j*10 + k; after reduce+scatter rank r holds
-    // sum over ranks of (rank + r*10 + k).
-    constexpr std::size_t kBlock = 3;
-    std::vector<double> send(static_cast<std::size_t>(n) * kBlock);
-    for (int j = 0; j < n; ++j) {
-      for (std::size_t k = 0; k < kBlock; ++k) {
-        send[static_cast<std::size_t>(j) * kBlock + k] =
-            comm.rank() + j * 10.0 + static_cast<double>(k);
-      }
-    }
-    std::vector<double> recv(kBlock, -1.0);
-    comm.reduce_scatter_sum(std::span<const double>(send),
-                            std::span<double>(recv));
-    const double rank_sum = n * (n - 1) / 2.0;
-    for (std::size_t k = 0; k < kBlock; ++k) {
-      EXPECT_DOUBLE_EQ(recv[k],
-                       rank_sum + n * (comm.rank() * 10.0 +
-                                       static_cast<double>(k)));
-    }
-  });
-}
-
-TEST(Collectives, ReduceScatterRejectsBadSizes) {
-  EXPECT_THROW(Job::run(2,
-                        [](Comm& comm) {
-                          std::vector<double> send(3);  // not 2 blocks
-                          std::vector<double> recv(2);
-                          comm.reduce_scatter_sum(
-                              std::span<const double>(send),
-                              std::span<double>(recv));
-                        }),
-               Error);
-}
-
-TEST_P(CollectiveTest, InclusiveScan) {
-  const int n = GetParam();
-  Job::run(n, [](Comm& comm) {
-    const double got = comm.scan_sum(static_cast<double>(comm.rank() + 1));
-    const double want = (comm.rank() + 1) * (comm.rank() + 2) / 2.0;
-    EXPECT_DOUBLE_EQ(got, want);
-  });
-}
-
-TEST_P(CollectiveTest, BarrierCompletes) {
-  Job::run(GetParam(), [](Comm& comm) {
-    for (int i = 0; i < 5; ++i) comm.barrier();
-  });
-}
-
 TEST_P(CollectiveTest, BackToBackCollectivesDoNotCrossMatch) {
   const int n = GetParam();
   Job::run(n, [n](Comm& comm) {
     for (int round = 0; round < 10; ++round) {
       const double s = comm.allreduce_sum(1.0);
       EXPECT_DOUBLE_EQ(s, n);
-      double v = static_cast<double>(comm.rank() + round);
-      comm.bcast(std::span<double>(&v, 1), round % n);
-      EXPECT_DOUBLE_EQ(v, (round % n) + round);
+      const int v = comm.rank() + round;
+      std::vector<int> all(static_cast<std::size_t>(n));
+      comm.allgather(v, std::span<int>(all));
+      for (int r = 0; r < n; ++r) {
+        EXPECT_EQ(all[static_cast<std::size_t>(r)], r + round);
+      }
     }
   });
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveTest,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 9, 16));
+
+// ----- the collective rendezvous -----
+
+TEST(Rendezvous, CollapsedFoldsMatchTheWeightedSerialReference) {
+  // 7 ranks split 10 elements cyclically and 12 in blocks: classes {0,1,2},
+  // {3,4}, {5,6}, represented by ranks 0, 3 and 5.
+  CollapseSpec spec;
+  spec.kind = CollapseSpec::Kind::kCounts;
+  spec.cyclic_total = 10;
+  spec.block_total = 12;
+  const RankSymmetry sym = RankSymmetry::build(spec, 7);
+  ASSERT_EQ(sym.classes(), 3);
+  ASSERT_EQ(sym.weight(0), 3);
+
+  // Inexact values, so any other fold order would move the low bits.
+  constexpr std::size_t kLen = 5;
+  const auto value = [](int rank, std::size_t i) {
+    return 0.1 * (rank + 1) + 1.0 / (3.0 + static_cast<double>(i));
+  };
+  // w0*v0 + w1*v1 + ... in ascending class order; max in class order.
+  std::vector<double> sum(kLen);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    sum[i] = value(sym.representative(0), i) *
+             static_cast<double>(sym.weight(0));
+    for (int c = 1; c < sym.classes(); ++c) {
+      sum[i] += static_cast<double>(sym.weight(c)) *
+                value(sym.representative(c), i);
+    }
+  }
+  double max = -value(sym.representative(0), 0);
+  double count = static_cast<double>(sym.representative(0) + 1) *
+                 static_cast<double>(sym.weight(0));
+  for (int c = 1; c < sym.classes(); ++c) {
+    max = std::max(max, -value(sym.representative(c), 0));
+    count += static_cast<double>(sym.weight(c)) *
+             static_cast<double>(sym.representative(c) + 1);
+  }
+  // Virtual rank v's block is its class representative's.
+  std::vector<double> gathered(static_cast<std::size_t>(sym.size()));
+  for (int v = 0; v < sym.size(); ++v) {
+    gathered[static_cast<std::size_t>(v)] =
+        value(sym.representative(sym.class_of(v)), 0);
+  }
+
+  const std::vector<CommLog> logs =
+      Job::run_collapsed(sym, [&](Comm& comm) {
+        EXPECT_EQ(comm.size(), 7);
+        std::vector<double> data(kLen);
+        for (std::size_t i = 0; i < kLen; ++i) data[i] = value(comm.rank(), i);
+        comm.allreduce_sum(std::span<double>(data));
+        EXPECT_EQ(std::memcmp(data.data(), sum.data(), kLen * sizeof(double)),
+                  0)
+            << "rank " << comm.rank();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      comm.allreduce_max(-value(comm.rank(), 0))),
+                  std::bit_cast<std::uint64_t>(max));
+        EXPECT_EQ(comm.allreduce_sum_u64(
+                      static_cast<std::uint64_t>(comm.rank() + 1)),
+                  static_cast<std::uint64_t>(count));
+        std::vector<double> all(static_cast<std::size_t>(comm.size()));
+        comm.allgather(value(comm.rank(), 0), std::span<double>(all));
+        EXPECT_EQ(std::memcmp(all.data(), gathered.data(),
+                              all.size() * sizeof(double)),
+                  0)
+            << "rank " << comm.rank();
+      });
+  // Each slot logs what each of its class's ranks would log in a full run.
+  ASSERT_EQ(logs.size(), 3u);
+  for (const CommLog& log : logs) {
+    EXPECT_EQ(log.collectives.at(CollectiveKind::kAllreduce).calls, 3u);
+    EXPECT_EQ(log.collectives.at(CollectiveKind::kAllreduce).bytes,
+              kLen * sizeof(double) + 2 * sizeof(double));
+    EXPECT_EQ(log.collectives.at(CollectiveKind::kAllgather).bytes,
+              sizeof(double));
+  }
+}
+
+TEST(Rendezvous, MismatchedCollectivesFailTypedNamingBothRanks) {
+  const auto failure = [](const Job::RankFn& fn) {
+    try {
+      Job::run(3, fn);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // Different collectives with the same byte count.
+  const std::string kind = failure([](Comm& comm) {
+    if (comm.rank() == 2) {
+      std::vector<double> all(3);
+      comm.allgather(1.0, std::span<double>(all));
+    } else {
+      (void)comm.allreduce_sum(1.0);
+    }
+  });
+  EXPECT_EQ(fault::classify(kind), fault::ErrorClass::kOther) << kind;
+  EXPECT_NE(kind.find("collective mismatch: rank 0 entered allreduce_sum of "
+                      "8 bytes, rank 2 entered allgather of 8 bytes"),
+            std::string::npos)
+      << kind;
+  // The same collective with different byte counts.
+  const std::string size = failure([](Comm& comm) {
+    std::vector<double> v(comm.rank() == 1 ? 2 : 1, 1.0);
+    comm.allreduce_sum(std::span<double>(v));
+  });
+  EXPECT_NE(size.find("rank 0 entered allreduce_sum of 8 bytes, rank 1 "
+                      "entered allreduce_sum of 16 bytes"),
+            std::string::npos)
+      << size;
+}
+
+TEST(Rendezvous, ThrowingRankUnwindsThePeersParkedInACollective) {
+  constexpr int kRanks = 6;
+  int poisoned = 0;
+  try {
+    Job::run(kRanks, [&](Comm& comm) {
+      if (comm.rank() == 3) throw Error("rank 3 failed");
+      try {
+        (void)comm.allreduce_sum(1.0);  // rank 3 never arrives
+      } catch (const Error& e) {
+        if (fault::classify(e.what()) == fault::ErrorClass::kPoison) {
+          ++poisoned;
+        }
+        throw;
+      }
+    });
+    FAIL() << "expected the job to rethrow";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 3 failed");
+  }
+  EXPECT_EQ(poisoned, kRanks - 1);
+}
+
+TEST(Rendezvous, DeadlockNamesCollectiveAndReceiveWaiters) {
+  try {
+    Job::run(2, [](Comm& comm) {
+      (void)comm.allreduce_sum(1.0);
+      if (comm.rank() == 0) {
+        (void)comm.allreduce_sum(2.0);  // rank 1 never joins
+      } else {
+        (void)comm.recv_value<int>(0, 3);  // rank 0 never sends
+      }
+    });
+    FAIL() << "expected a deadlock error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(fault::classify(what), fault::ErrorClass::kTimeout) << what;
+    EXPECT_NE(what.find("rank 0 allreduce(call 2)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank 1 recv(src=0, tag=3)"), std::string::npos)
+        << what;
+  }
+}
 
 // ----- mailbox matching (the indexed buckets behind send/recv) -----
 
@@ -323,7 +372,8 @@ Message make(int source, int tag, int value) {
   Message m;
   m.source = source;
   m.tag = tag;
-  m.payload = Buffer::copy_of(&value, sizeof(int));
+  const auto* bytes = reinterpret_cast<const std::byte*>(&value);
+  m.payload.assign(bytes, bytes + sizeof(int));
   return m;
 }
 
@@ -644,12 +694,14 @@ TEST(CommLog, RecordsP2pPerPeer) {
 TEST(CommLog, CollectivesAreNotDoubleCountedAsP2p) {
   auto logs = Job::run_logged(4, [](Comm& comm) {
     (void)comm.allreduce_sum(1.0);
-    comm.barrier();
+    std::vector<double> all(4);
+    comm.allgather(1.0, std::span<double>(all));
   });
   for (const auto& log : logs) {
     EXPECT_EQ(log.total_p2p_messages(), 0u);
     EXPECT_EQ(log.collectives.at(CollectiveKind::kAllreduce).calls, 1u);
-    EXPECT_EQ(log.collectives.at(CollectiveKind::kBarrier).calls, 1u);
+    EXPECT_EQ(log.collectives.at(CollectiveKind::kAllgather).calls, 1u);
+    EXPECT_EQ(log.collectives.at(CollectiveKind::kAllgather).bytes, 8u);
   }
 }
 

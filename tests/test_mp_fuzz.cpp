@@ -4,6 +4,7 @@
 // plus fault-plan-driven chaos runs asserting unwind-without-deadlock.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -31,10 +32,24 @@ TEST_P(CollectiveFuzz, AllreduceMatchesSerialReference) {
   const int ranks = 1 + static_cast<int>(shape_rng.bounded(9));
   const std::size_t len = 1 + shape_rng.bounded(257);
 
-  std::vector<double> expected(len, 0.0);
+  // The sum a binomial reduce to rank 0 forms: acc[r] += acc[r + mask] for
+  // rising mask. The allreduce must reproduce its bits, not just its value.
+  std::vector<std::vector<double>> acc(static_cast<std::size_t>(ranks),
+                                       std::vector<double>(len));
   for (int r = 0; r < ranks; ++r) {
-    for (std::size_t i = 0; i < len; ++i) expected[i] += element(seed, r, i);
+    for (std::size_t i = 0; i < len; ++i) {
+      acc[static_cast<std::size_t>(r)][i] = element(seed, r, i);
+    }
   }
+  for (int mask = 1; mask < ranks; mask <<= 1) {
+    for (int r = 0; r + mask < ranks; r += 2 * mask) {
+      for (std::size_t i = 0; i < len; ++i) {
+        acc[static_cast<std::size_t>(r)][i] +=
+            acc[static_cast<std::size_t>(r + mask)][i];
+      }
+    }
+  }
+  const std::vector<double>& expected = acc[0];
 
   Job::run(ranks, [&](Comm& comm) {
     std::vector<double> data(len);
@@ -42,30 +57,9 @@ TEST_P(CollectiveFuzz, AllreduceMatchesSerialReference) {
       data[i] = element(seed, comm.rank(), i);
     }
     comm.allreduce_sum(std::span<double>(data));
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_NEAR(data[i], expected[i], 1e-9) << "rank " << comm.rank()
-                                              << " index " << i;
-    }
-  });
-}
-
-TEST_P(CollectiveFuzz, BcastDeliversRootPayloadUnchanged) {
-  const std::uint64_t seed = GetParam();
-  Xoshiro256 shape_rng(seed, 777);
-  const int ranks = 1 + static_cast<int>(shape_rng.bounded(8));
-  const std::size_t len = 1 + shape_rng.bounded(500);
-  const int root = static_cast<int>(shape_rng.bounded(
-      static_cast<std::uint64_t>(ranks)));
-
-  Job::run(ranks, [&](Comm& comm) {
-    std::vector<double> data(len, 0.0);
-    if (comm.rank() == root) {
-      for (std::size_t i = 0; i < len; ++i) data[i] = element(seed, root, i);
-    }
-    comm.bcast(std::span<double>(data), root);
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_DOUBLE_EQ(data[i], element(seed, root, i));
-    }
+    ASSERT_EQ(std::memcmp(data.data(), expected.data(), len * sizeof(double)),
+              0)
+        << "rank " << comm.rank();
   });
 }
 
@@ -91,52 +85,6 @@ TEST_P(CollectiveFuzz, AllgatherAssemblesEveryBlockInOrder) {
   });
 }
 
-TEST_P(CollectiveFuzz, ReduceToEveryRootMatches) {
-  const std::uint64_t seed = GetParam();
-  Xoshiro256 shape_rng(seed, 333);
-  const int ranks = 2 + static_cast<int>(shape_rng.bounded(6));
-  const std::size_t len = 1 + shape_rng.bounded(64);
-
-  std::vector<double> expected(len, 0.0);
-  for (int r = 0; r < ranks; ++r) {
-    for (std::size_t i = 0; i < len; ++i) expected[i] += element(seed, r, i);
-  }
-  for (int root = 0; root < ranks; ++root) {
-    Job::run(ranks, [&](Comm& comm) {
-      std::vector<double> data(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        data[i] = element(seed, comm.rank(), i);
-      }
-      comm.reduce_sum(std::span<double>(data), root);
-      if (comm.rank() == root) {
-        for (std::size_t i = 0; i < len; ++i) {
-          ASSERT_NEAR(data[i], expected[i], 1e-9);
-        }
-      }
-    });
-  }
-}
-
-TEST_P(CollectiveFuzz, AlltoallTransposesBlocks) {
-  const std::uint64_t seed = GetParam();
-  Xoshiro256 shape_rng(seed, 111);
-  const int ranks = 1 + static_cast<int>(shape_rng.bounded(6));
-
-  Job::run(ranks, [&](Comm& comm) {
-    std::vector<double> send(static_cast<std::size_t>(ranks));
-    for (int j = 0; j < ranks; ++j) {
-      send[static_cast<std::size_t>(j)] =
-          element(seed, comm.rank(), static_cast<std::size_t>(j));
-    }
-    std::vector<double> recv(static_cast<std::size_t>(ranks), -1.0);
-    comm.alltoall_bytes(send.data(), sizeof(double), recv.data());
-    for (int i = 0; i < ranks; ++i) {
-      ASSERT_DOUBLE_EQ(recv[static_cast<std::size_t>(i)],
-                       element(seed, i, static_cast<std::size_t>(comm.rank())));
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, CollectiveFuzz,
                          ::testing::Range<std::uint64_t>(1, 13));
 
@@ -149,7 +97,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CollectiveFuzz,
 // the job, which then fails at once as a typed deadlock) — and the runtime
 // must stay fully usable afterwards.
 
-/// One mixed workload over every communication shape the miniapps use.
+/// One mixed workload over the communication the miniapps use: p2p rings,
+/// allreduces, a cart halo exchange and an allgather.
 void chaos_workload(Comm& comm, std::uint64_t seed) {
   const int ranks = comm.size();
   const int next = (comm.rank() + 1) % ranks;
@@ -158,7 +107,7 @@ void chaos_workload(Comm& comm, std::uint64_t seed) {
     comm.send_value(next, round, element(seed, comm.rank(), 0));
     (void)comm.recv_value<double>(prev, round);
     (void)comm.allreduce_sum(1.0);
-    comm.barrier();
+    (void)comm.allreduce_max(element(seed, comm.rank(), 2));
   }
   const CartGrid grid({2, 2}, true);
   const apps::HaloGrid<2> hg(grid, comm.rank(), {6, 6}, 1);

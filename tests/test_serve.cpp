@@ -13,6 +13,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,10 +175,14 @@ std::string test_socket_path() {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
+/// A fresh, empty store directory: a stale one left by an earlier process
+/// with the same pid would turn the first cold run into a disk hit.
 std::string test_cache_dir() {
   static std::atomic<int> counter{0};
-  return "/tmp/fibersim_test_cache_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1));
+  std::string dir = "/tmp/fibersim_test_cache_" + std::to_string(::getpid()) +
+                    "_" + std::to_string(counter.fetch_add(1));
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 constexpr const char* kPredictLine =
@@ -407,6 +413,7 @@ TEST(Serve, WarmStoreSurvivesRestart) {
     EXPECT_EQ(payload_of(response), first_payload);
     EXPECT_EQ(server.stats_snapshot().tier_native, 0u);
   }
+  std::filesystem::remove_all(cache_dir);
 }
 
 TEST(Serve, FullQueueShedsWithTypedBusy) {
@@ -543,13 +550,14 @@ TEST(Serve, ExpiredQueuedWorkIsShedWithTypedDeadline) {
 
   // Pipeline: a cold run occupies the single worker, so the 1 ms deadline
   // on the second request expires while it queues — it must be shed with a
-  // typed DEADLINE, never executed, never hung. The occupier is a 48-rank
-  // run, several milliseconds of native work, so the deadline expires
-  // before it finishes.
+  // typed DEADLINE, never executed, never hung. The occupier (ffvc large,
+  // 48x1, 20 iterations) takes 104-148 ms as `fibersim run` on a 4-vCPU
+  // Xeon host, over 100x the deadline, so the deadline expires long before
+  // it finishes even on a loaded host.
   ServeClient client(server.socket_path());
   client.send_line(
-      R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":48,)"
-      R"("threads":1,"iterations":1,"seed":9001,"id":"occupier"})");
+      R"({"verb":"predict","app":"ffvc","dataset":"large","ranks":48,)"
+      R"("threads":1,"iterations":20,"seed":9001,"id":"occupier"})");
   client.send_line(
       R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
       R"("threads":1,"iterations":1,"seed":9002,"deadline_ms":1,)"
@@ -741,10 +749,13 @@ TEST(Serve, SigtermMidRunStillAnswersAndStatsServeDuringDrain) {
   server.start();
   server.install_signal_handlers();
 
+  // The in-flight run (ffvc large, 48x1, 20 iterations: 104-148 ms as
+  // `fibersim run` on a 4-vCPU Xeon host) outlasts the requests pipelined
+  // behind the SIGTERM, so they reach the server while it drains.
   ServeClient client(server.socket_path());
   client.send_line(
-      R"({"verb":"predict","app":"ffb","dataset":"small","ranks":4,)"
-      R"("threads":1,"iterations":1,"seed":31337,"id":"mid-run"})");
+      R"({"verb":"predict","app":"ffvc","dataset":"large","ranks":48,)"
+      R"("threads":1,"iterations":20,"seed":31337,"id":"mid-run"})");
   // Wait until the worker owns the cold native run, then deliver a real
   // SIGTERM through the installed handler (self-pipe -> stop()).
   const auto deadline =
@@ -754,18 +765,30 @@ TEST(Serve, SigtermMidRunStillAnswersAndStatsServeDuringDrain) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(::kill(::getpid(), SIGTERM), 0);
-  // The in-flight cold run must complete and answer ok — SIGTERM drains, it
-  // never abandons acknowledged-admitted work.
-  const auto response = client.read_line();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(field_of(*response, "id"), "mid-run");
-  EXPECT_EQ(field_of(*response, "ok"), "true") << *response;
+  // The handler only writes the self-pipe; the accept loop then starts the
+  // drain. Give it 25 ms, a fraction of the in-flight run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(25));
   // The observability plane stays up during the drain: stats still answers
-  // (and reports the drained predict), while new work is refused typed.
-  const std::string stats = client.request(R"({"verb":"stats"})");
+  // (and reports the in-flight predict), while new work is refused typed.
+  client.send_line(R"({"verb":"stats","id":"stats"})");
+  client.send_line(
+      R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
+      R"("threads":1,"iterations":1,"id":"late"})");
+  std::map<std::string, std::string> responses;
+  for (int i = 0; i < 3; ++i) {
+    const auto line = client.read_line();
+    ASSERT_TRUE(line.has_value()) << "response " << i;
+    responses[field_of(*line, "id")] = *line;
+  }
+  const std::string& stats = responses["stats"];
   EXPECT_EQ(field_of(stats, "ok"), "true") << stats;
   EXPECT_NE(stats.find("\"predict\":1"), std::string::npos) << stats;
-  EXPECT_EQ(field_of(client.request(kPredictLine), "code"), kCodeShutdown);
+  EXPECT_EQ(field_of(responses["late"], "code"), kCodeShutdown)
+      << responses["late"];
+  // The in-flight cold run must complete and answer ok — SIGTERM drains, it
+  // never abandons acknowledged-admitted work.
+  EXPECT_EQ(field_of(responses["mid-run"], "ok"), "true")
+      << responses["mid-run"];
   server.wait();
   EXPECT_EQ(::access(server.socket_path().c_str(), F_OK), -1);
 }

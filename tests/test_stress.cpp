@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "mp/job.hpp"
 #include "rt/thread_team.hpp"
@@ -49,7 +51,11 @@ TEST(Stress, InterleavedP2pAndCollectives) {
       ASSERT_DOUBLE_EQ(incoming, prev + round);
       ASSERT_DOUBLE_EQ(comm.allreduce_max(token),
                        comm.size() - 1.0 + round);
-      comm.barrier();
+      std::vector<double> tokens(static_cast<std::size_t>(comm.size()));
+      comm.allgather(token, std::span<double>(tokens));
+      for (int r = 0; r < comm.size(); ++r) {
+        ASSERT_DOUBLE_EQ(tokens[static_cast<std::size_t>(r)], r + round);
+      }
     }
   });
 }

@@ -126,6 +126,16 @@ echo "== collapse: every report byte-identical with --collapse-ranks on =="
 # experiment (E1X/E2X force collapse internally and are identical trivially).
 "$FIBERSIM" $REPORT_ARGS --collapse-ranks on > "$CACHE_DIR/report.collapse.txt"
 diff "$CACHE_DIR/report.cold.txt" "$CACHE_DIR/report.collapse.txt"
+# The collapsed data plane (weighted allreduces, the allgather expansion)
+# is exercised hardest by modylas and ntchem, so the same diff runs over
+# all eight apps.
+ALL_APPS_ARGS="report --all --dataset small --iterations 1"
+LEG_START="$(date +%s%N)"
+"$FIBERSIM" $ALL_APPS_ARGS > "$CACHE_DIR/report.all.txt"
+"$FIBERSIM" $ALL_APPS_ARGS --collapse-ranks on \
+    > "$CACHE_DIR/report.all.collapse.txt"
+diff "$CACHE_DIR/report.all.txt" "$CACHE_DIR/report.all.collapse.txt"
+echo "collapse, all apps: $(( ($(date +%s%N) - LEG_START) / 1000000 )) ms"
 # The scale bench re-checks the structural invariant (one native rank per
 # symmetry class at every point) and the >= 20x trend bar, and exits
 # nonzero on any violation. --max-nodes keeps the CI leg at 16384 ranks.
